@@ -213,7 +213,7 @@ def compute_truth(config: BenchConfig, game: Game, partition: Partition):
         if "reference_budget" not in config.truth:
             raise ConfigError("truth.source=reference needs truth.reference_budget")
         ref_budget = int(config.truth["reference_budget"])
-        ref_game = game_from_config(config.game_spec)
+        ref_game = game.counting_view()
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(0xFEED,))
         )
@@ -249,11 +249,12 @@ def fgsv_config_for(n: int, s0: int, per_group_budget: int, method: dict) -> Est
     return cfg
 
 
-def _run_cell(config: BenchConfig, partition: Partition, rep: int,
+def _run_cell(config: BenchConfig, base: Game, partition: Partition, rep: int,
               method_index: int, method: dict):
-    """One (replication, method) run; returns one row dict per group."""
+    """One (replication, method) run on its own counting view of the shared
+    game; returns one row dict per group."""
     name = method["name"]
-    game = game_from_config(config.game_spec)
+    game = base.counting_view()
     rng = _rng_for(config.seed, rep, method_index)
     groups = partition.groups
     rows = []
@@ -311,7 +312,8 @@ def _fmt(x) -> str:
 def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     """Runs the full grid and writes results.csv and summary.csv in out_dir.
 
-    Rows appear in (replication, method, group) order regardless of the
+    The game is built once; every cell evaluates it through its own counting
+    view. Rows appear in (replication, method, group) order regardless of the
     thread count; group ids are 1-based in the output.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -328,10 +330,10 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             cell_rows = list(pool.map(
-                lambda c: _run_cell(config, partition, *c), cells
+                lambda c: _run_cell(config, game, partition, *c), cells
             ))
     else:
-        cell_rows = [_run_cell(config, partition, *c) for c in cells]
+        cell_rows = [_run_cell(config, game, partition, *c) for c in cells]
 
     results_path = os.path.join(out_dir, "results.csv")
     per_method_group: dict[tuple[str, int], dict[str, list[float]]] = {}

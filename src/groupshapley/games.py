@@ -7,6 +7,7 @@ so no game caches utilities.
 
 from __future__ import annotations
 
+import copy
 import csv
 import threading
 from typing import Callable, Iterable, Sequence
@@ -67,8 +68,21 @@ class Game:
 
     def evaluate_masks(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=bool)
+        if masks.ndim != 2 or masks.shape[1] != self._n:
+            raise ValueError(
+                f"masks must have shape (batch, {self._n}), got {masks.shape}"
+            )
         self._count(len(masks))
         return self._values(masks)
+
+    def counting_view(self) -> "Game":
+        """Shallow copy that shares the utility data but has its own zeroed
+        evaluation counter, so concurrent runs can each count their own
+        evaluations of one game."""
+        view = copy.copy(self)
+        view._evals = 0
+        view._lock = threading.Lock()
+        return view
 
     def _value(self, mask: np.ndarray) -> float:
         raise NotImplementedError
@@ -84,6 +98,23 @@ class Game:
 
     def to_config(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} is not serializable")
+
+
+# Entries of one (words, rows, subsets) block of the batched SOU kernel:
+# 2^17 uint64 words keep each intermediate array near 1 MB, inside a core's
+# L2 cache. On a 2-core Xeon with 2 MB of L2 per core, blocks of 8 MB were
+# ~25% slower on 500-mask batches at n=64, d=4096.
+_SOU_CHUNK_ENTRIES = 1 << 17
+
+
+def _pack_masks(masks: np.ndarray) -> np.ndarray:
+    """Packs boolean rows into uint64 words, player i at bit i % 64 of word
+    i // 64, zero-padded to a whole number of words. Returns the words
+    word-major, shape (words, rows)."""
+    rows, n = masks.shape
+    packed = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(masks, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view(np.uint64).T)
 
 
 class SOUGame(Game):
@@ -111,6 +142,7 @@ class SOUGame(Game):
             member[j, a] = True
         self._member = member.astype(np.float64)
         self._sizes = member.sum(axis=1).astype(np.float64)
+        self._bits = _pack_masks(member)  # (words, subsets)
         self._seed = None  # set by sou_generate for serialization
 
     def _value(self, mask: np.ndarray) -> float:
@@ -118,8 +150,19 @@ class SOUGame(Game):
         return float(self.coefficients[hits == self._sizes].sum())
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        hits = masks.astype(np.float64) @ self._member.T
-        return (hits == self._sizes) @ self.coefficients
+        # A subset is contained when each of its words survives the AND with
+        # the coalition's word; the word axis comes first so that one
+        # reduction over it serves every n. The final sum runs once over the
+        # whole batch: BLAS sums depend on the row count, and per-chunk sums
+        # would move the last bits of the results.
+        words = _pack_masks(masks)[:, :, None]
+        bits = self._bits[:, None, :]
+        contained = np.empty((len(masks), len(self.subsets)), dtype=bool)
+        step = max(1, _SOU_CHUNK_ENTRIES // self._bits.size)
+        for lo in range(0, len(masks), step):
+            block = words[:, lo : lo + step]
+            np.all((block & bits) == bits, axis=0, out=contained[lo : lo + step])
+        return contained @ self.coefficients
 
     def exact_shapley(self, i: int) -> float:
         """Closed-form Shapley value of one player: sum of coefficient/|subset|
@@ -165,7 +208,7 @@ def sou_generate(n: int, d: int, seed) -> SOUGame:
         subsets.append(np.sort(members))
         coefs.append(float(weights[members].mean()))
     game = SOUGame(n, subsets, coefs)
-    game._seed = seed if isinstance(seed, int) else None
+    game._seed = int(seed) if isinstance(seed, (int, np.integer)) else None
     return game
 
 

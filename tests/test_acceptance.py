@@ -8,6 +8,7 @@ import copy
 import csv
 import math
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ def test_criterion_05_baseline_convergence(report):
     for name, fn in BASELINE_ESTIMATORS.items():
         errors = np.empty((seeds, game.n))
         for seed in range(seeds):
-            est = fn(game, budget, np.random.default_rng((hash(name) & 0xFFFF, seed)))
+            est = fn(game, budget, np.random.default_rng((zlib.crc32(name.encode()) & 0xFFFF, seed)))
             errors[seed] = est.values - truth
         mean = errors.mean(axis=0)
         se = errors.std(axis=0, ddof=1) / math.sqrt(seeds)

@@ -5,15 +5,18 @@ import os
 import numpy as np
 import pytest
 
-from groupshapley import cli
+from groupshapley import bench, cli
+from groupshapley.baselines import BASELINE_ESTIMATORS, predicted_baseline_evaluations
 from groupshapley.bench import (
     BenchConfig,
     ConfigError,
     THREADS_ENV_VAR,
+    fgsv_config_for,
     partition_from_spec,
     resolve_threads,
     run_benchmark,
 )
+from groupshapley.estimator import predicted_evaluations
 
 
 def write_config(tmp_path, name, payload):
@@ -165,6 +168,42 @@ class TestBenchCommand:
             bodies.append([[c for i, c in enumerate(r) if i != drop]
                            for r in rows])
         assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("truth", [
+        {"source": "auto"},
+        {"source": "reference", "reference_budget": 450},
+    ])
+    def test_one_game_build_per_run(self, tmp_path, monkeypatch, truth):
+        builds = []
+        real_build = bench.game_from_config
+
+        def counting_build(spec):
+            builds.append(spec)
+            return real_build(spec)
+
+        monkeypatch.setattr(bench, "game_from_config", counting_build)
+        fgsv = {"name": "fgsv", "size_threshold": 4}
+        payload = bench_payload(
+            replications=2, truth=truth,
+            methods=[fgsv] + [{"name": m} for m in BASELINE_ESTIMATORS],
+        )
+        config = BenchConfig.from_dict(payload)
+        run_benchmark(config, tmp_path / "out", threads=2)
+        assert len(builds) == 1
+
+        n, budget, k = payload["game"]["n"], payload["budget"], payload["groups"]["k"]
+        partition = partition_from_spec(payload["groups"], n)
+        with open(tmp_path / "out" / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * (1 + len(BASELINE_ESTIMATORS)) * k
+        for r in rows:
+            if r["method"] == "fgsv":
+                s0 = len(partition.groups[int(r["group_id"]) - 1])
+                want = predicted_evaluations(
+                    n, s0, fgsv_config_for(n, s0, budget // k, fgsv))
+            else:
+                want = predicted_baseline_evaluations(r["method"], n, budget)
+            assert int(r["evals"]) == want
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg_path = write_config(tmp_path, "bench.json",

@@ -1,8 +1,11 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupshapley.games import (
     Game,
@@ -71,6 +74,13 @@ class TestEvaluate:
         b = g.evaluate([0, 3, 5])
         assert a == b
 
+    @pytest.mark.parametrize("shape", [(5,), (9,), (1, 9), (3, 4), (2, 3, 5), ()])
+    def test_mask_shape_rejected_before_counting(self, shape):
+        for g in (SizeOnlyGame(5, lambda s: float(s)), sou_generate(5, 8, 1)):
+            with pytest.raises(ValueError, match="shape"):
+                g.evaluate_masks(np.ones(shape, dtype=bool))
+            assert g.eval_counter == 0
+
     def test_batch_matches_scalar(self):
         g = sou_generate(7, 25, 9)
         rng = np.random.default_rng(1)
@@ -104,11 +114,123 @@ class TestSouGenerate:
         for a, alpha in zip(g.subsets, g.coefficients):
             assert alpha == pytest.approx(np.mean((a % 4) / 4), abs=1e-15)
 
+    def test_numpy_integer_seed_serializes_as_seed(self):
+        g = sou_generate(8, 4, np.int64(3))
+        cfg = g.to_config()
+        assert cfg == {"type": "sou", "n": 8, "d": 4, "seed": 3}
+        assert type(cfg["seed"]) is int
+        g2 = game_from_config(cfg)
+        assert all((x == y).all() for x, y in zip(g.subsets, g2.subsets))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sou_generate(1, 5, 0)
         with pytest.raises(ValueError):
             sou_generate(5, 0, 0)
+
+
+def _random_sou(n, d, rng):
+    """SOU game with a mix of small and arbitrary-size subsets, so random
+    coalitions contain some of them."""
+    subsets = []
+    for j in range(d):
+        top = n if j % 2 else min(n, 3)
+        size = int(rng.integers(1, top + 1))
+        subsets.append(rng.choice(n, size=size, replace=False))
+    return SOUGame(n, subsets, rng.random(d))
+
+
+def _random_masks(n, batch, rng):
+    """Rows of uniform density for about half the batch and near-full density
+    for the rest, with the empty and the full coalition first and last when
+    the batch has room."""
+    density = rng.random((batch, 1)) ** np.where(rng.random((batch, 1)) < 0.5, 1, 0.1)
+    masks = rng.random((batch, n)) < density
+    if batch >= 1:
+        masks[0] = False
+    if batch >= 2:
+        masks[-1] = True
+    return masks
+
+
+class TestSouKernel:
+    """The bit-packed batched kernel against the float containment formula it
+    replaced (bit for bit) and an index-set containment reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 130])
+    @pytest.mark.parametrize("batch", [0, 1, 255, 256, 257, 600])
+    @settings(max_examples=4, deadline=None)
+    @given(d=st.sampled_from([1, 5, 40, 4096]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_references(self, n, batch, d, seed):
+        rng = np.random.default_rng(seed)
+        g = _random_sou(n, d, rng)
+        masks = _random_masks(n, batch, rng)
+        got = g._values(masks)
+
+        member = np.zeros((d, n))
+        for j, a in enumerate(g.subsets):
+            member[j, a] = 1.0
+        sizes = member.sum(axis=1)
+        old = ((masks.astype(float) @ member.T) == sizes) @ g.coefficients
+        assert got.shape == (batch,)
+        assert np.array_equal(got, old)
+
+        ref = np.zeros(batch)
+        for a, alpha in zip(g.subsets, g.coefficients):
+            ref += alpha * masks[:, a].all(axis=1)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 130])
+    def test_empty_and_full_coalitions(self, n):
+        g = _random_sou(n, 50, np.random.default_rng(n))
+        empty, full = g.evaluate_masks(np.array([[False] * n, [True] * n]))
+        assert empty == 0.0
+        assert full == pytest.approx(g.coefficients.sum(), rel=1e-12)
+
+
+class TestCountingView:
+    def test_shares_data_not_counter(self):
+        g = sou_generate(10, 30, 5)
+        g.evaluate([0, 1])
+        a, b = g.counting_view(), g.counting_view()
+        assert a.eval_counter == b.eval_counter == 0
+        assert a._bits is g._bits and b._bits is g._bits
+        assert a.subsets is g.subsets and a.coefficients is g.coefficients
+        assert a._lock is not g._lock and a._lock is not b._lock
+        masks = np.random.default_rng(0).random((7, 10)) < 0.6
+        assert np.array_equal(a.evaluate_masks(masks), g._values(masks))
+        b.evaluate([3])
+        assert (g.eval_counter, a.eval_counter, b.eval_counter) == (1, 7, 1)
+
+    def test_threads_sharing_views_count_exactly(self):
+        # 8 threads on 4 views of one game, two threads per view, with
+        # frequent thread switches: every view must count every evaluation
+        # of its two threads and none of the others'.
+        g = sou_generate(70, 200, 8)
+        views = [g.counting_view() for _ in range(4)]
+        masks = np.random.default_rng(1).random((5, 70)) < 0.7
+        want = g._values(masks)
+        rounds, errors = 200, []
+
+        def work(view):
+            for _ in range(rounds):
+                if not np.array_equal(view.evaluate_masks(masks), want):
+                    errors.append("values")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(v,)) for v in views * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [v.eval_counter for v in views] == [2 * rounds * len(masks)] * 4
+        assert g.eval_counter == 0
 
 
 class TestSouClosedForm:
