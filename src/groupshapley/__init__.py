@@ -31,12 +31,9 @@ from .baselines import (
 )
 from .combinatorics import (
     HypergeomParams,
-    hypergeom_pmf,
     log_binom,
     log_family_size,
-    sample_paired_tuple,
     sample_paired_tuples,
-    sample_subset_with_intersection,
     sample_subsets_with_intersection,
     sample_uniform_subsets,
 )
@@ -80,4 +77,4 @@ from .games import (
     load_regression_csv,
     sou_generate,
 )
-from .metrics import ConvergenceCurve, Recorder, are, aucc, royalty_shares
+from .metrics import ConvergenceCurve, Recorder, aucc, royalty_shares

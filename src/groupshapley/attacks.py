@@ -10,7 +10,6 @@ valuations.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -122,9 +121,6 @@ class AttackReport:
     fgsv_constant: bool
     extras: dict = field(default_factory=dict)
 
-    def attacker_rows(self) -> list[AttackRow]:
-        return [r for r in self.rows if r.is_attacker]
-
     def to_jsonable(self) -> dict:
         return {
             "prudent": self.prudent,
@@ -148,22 +144,6 @@ class AttackReport:
         with open(path, "w") as fh:
             json.dump(self.to_jsonable(), fh, indent=2)
             fh.write("\n")
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["schedule", "group", "is_attacker", "gsv", "fgsv", "prudent"])
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.pieces,
-                        r.group,
-                        int(r.is_attacker),
-                        format(r.gsv, ".17g"),
-                        format(r.fgsv, ".17g"),
-                        int(self.prudent),
-                    ]
-                )
 
 
 def _valuations_size_only(ubar, sizes, n):

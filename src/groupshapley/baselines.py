@@ -33,12 +33,6 @@ class SvEstimate:
     curves: dict[int, ConvergenceCurve] | None = None
     extras: dict = field(default_factory=dict)
 
-    @property
-    def curve(self) -> ConvergenceCurve | None:
-        if self.curves:
-            return self.curves[0]
-        return None
-
     def to_jsonable(self) -> dict:
         out = {
             "values": self.values.tolist(),
@@ -105,8 +99,7 @@ def permutation_estimator(
     full ordering costs n+1 evaluations (empty set plus n prefixes); the last
     ordering is truncated so exactly ``budget`` evaluations are spent."""
     n = game.n
-    if budget < n + 1:
-        raise ValueError(f"budget {budget} below one permutation ({n + 1})")
+    _require_budget("permutation", n, budget)
     sums = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
     rec = _GroupRecorder(checkpoint_interval, groups)
@@ -140,8 +133,7 @@ def group_testing_estimator(
     reference; one evaluation per sampled coalition. Values are the scaled
     differences between each player's utility column sum and the dummy's."""
     n = game.n
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _require_budget("group_testing", n, budget)
     sizes_support = np.arange(1, n + 1)
     q = 1.0 / sizes_support + 1.0 / (n - sizes_support + 1)
     Z = float(q.sum())
@@ -178,8 +170,7 @@ def complement_contribution_estimator(
     evaluations and its utility difference feeds every player's stratum mean.
     Strata never hit contribute zero (logged)."""
     n = game.n
-    if budget < 2:
-        raise ValueError("budget must be >= 2")
+    _require_budget("complement_contribution", n, budget)
     pairs = budget // 2
     sums = np.zeros((n, n + 1))
     counts = np.zeros((n, n + 1), dtype=np.int64)
@@ -219,8 +210,7 @@ def one_for_all_estimator(
     size-weighted sampling of the interior sizes, with every sampled coalition
     feeding all players' in/out stratum means."""
     n = game.n
-    if budget < 2 * n + 2:
-        raise ValueError(f"budget {budget} below deterministic block ({2 * n + 2})")
+    _require_budget("one_for_all", n, budget)
     rec = _GroupRecorder(checkpoint_interval, groups)
 
     det_masks = np.zeros((2 * n + 2, n), dtype=bool)
@@ -312,14 +302,12 @@ def closed_form_gram(n: int) -> np.ndarray:
 
 
 def _weighted_ls_estimator(
-    game, budget, rng, groups, checkpoint_interval,
+    method, game, budget, rng, groups, checkpoint_interval,
     size_probs_fn, paired: bool, empirical_gram: bool,
 ):
     """Shared engine for the three regression-based estimators."""
     n = game.n
-    min_budget = 4 if paired else n + 2
-    if budget < min_budget:
-        raise ValueError(f"budget {budget} too small (need >= {min_budget})")
+    _require_budget(method, n, budget)
     u_full = game.evaluate(range(n))
     u_empty = game.evaluate([])
     total = u_full - u_empty
@@ -386,7 +374,7 @@ def kernelshap_estimator(
         return q / q.sum(), lambda s: np.ones(len(s))
 
     return _weighted_ls_estimator(
-        game, budget, rng, groups, checkpoint_interval,
+        "kernelshap", game, budget, rng, groups, checkpoint_interval,
         probs, paired=False, empirical_gram=True,
     )
 
@@ -403,7 +391,7 @@ def unbiased_kernelshap_estimator(
         return q / q.sum(), lambda s: np.ones(len(s))
 
     return _weighted_ls_estimator(
-        game, budget, rng, groups, checkpoint_interval,
+        "unbiased_kernelshap", game, budget, rng, groups, checkpoint_interval,
         probs, paired=False, empirical_gram=False,
     )
 
@@ -422,7 +410,7 @@ def leverageshap_estimator(
         return p, lambda s: 1.0 / (s * (n - s))
 
     return _weighted_ls_estimator(
-        game, budget, rng, groups, checkpoint_interval,
+        "leverageshap", game, budget, rng, groups, checkpoint_interval,
         probs, paired=True, empirical_gram=True,
     )
 
@@ -436,6 +424,32 @@ BASELINE_ESTIMATORS = {
     "unbiased_kernelshap": unbiased_kernelshap_estimator,
     "leverageshap": leverageshap_estimator,
 }
+
+
+def min_baseline_budget(method: str, n: int) -> int:
+    """Smallest budget each estimator accepts: one full ordering
+    (permutation), one coalition (group testing), one coalition pair
+    (complement contribution), the deterministic block of sizes 0, 1, n-1
+    and n (one-for-all), the two endpoints plus n draws (both KernelSHAPs),
+    or the two endpoints plus one coalition pair (LeverageSHAP)."""
+    minima = {
+        "permutation": n + 1,
+        "group_testing": 1,
+        "complement_contribution": 2,
+        "one_for_all": 2 * n + 2,
+        "kernelshap": n + 2,
+        "unbiased_kernelshap": n + 2,
+        "leverageshap": 4,
+    }
+    if method not in minima:
+        raise ValueError(f"unknown method {method!r}")
+    return minima[method]
+
+
+def _require_budget(method: str, n: int, budget: int) -> None:
+    need = min_baseline_budget(method, n)
+    if budget < need:
+        raise ValueError(f"budget {budget} below the minimum {need} for {method}")
 
 
 def predicted_baseline_evaluations(method: str, n: int, budget: int) -> int:

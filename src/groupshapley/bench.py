@@ -77,6 +77,17 @@ def validate_game_spec(spec: dict, where: str = "game") -> None:
     _require_keys(spec, GAME_KEYS[kind], GAME_KEYS[kind], where)
 
 
+def build_game(spec: dict) -> Game:
+    """Validates a game spec and builds the game. Errors in the spec or in
+    the data it names, such as an unreadable or malformed regression CSV,
+    raise :class:`ConfigError`."""
+    validate_game_spec(spec)
+    try:
+        return game_from_config(spec)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"game: {exc}") from exc
+
+
 def partition_from_spec(spec: dict, n: int, where: str = "groups") -> Partition:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -317,7 +328,7 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     thread count; group ids are 1-based in the output.
     """
     os.makedirs(out_dir, exist_ok=True)
-    game = game_from_config(config.game_spec)
+    game = build_game(config.game_spec)
     partition = partition_from_spec(config.groups_spec, game.n)
     _validate_budgets(config, game.n, len(partition))
     truths, truth_source = compute_truth(config, game, partition)
@@ -390,19 +401,10 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
 
 
 def _validate_budgets(config: BenchConfig, n: int, num_groups: int) -> None:
-    minima = {
-        "permutation": n + 1,
-        "group_testing": 1,
-        "complement_contribution": 2,
-        "one_for_all": 2 * n + 2,
-        "kernelshap": n + 2,
-        "unbiased_kernelshap": n + 2,
-        "leverageshap": 4,
-        "fgsv": 3 * num_groups,
-    }
     for m in config.methods:
-        need = minima[m["name"]]
+        name = m["name"]
+        need = 3 * num_groups if name == "fgsv" else baselines.min_baseline_budget(name, n)
         if config.budget < need:
             raise ConfigError(
-                f"budget {config.budget} below minimum {need} for {m['name']}"
+                f"budget {config.budget} below minimum {need} for {name}"
             )

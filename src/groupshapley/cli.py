@@ -28,11 +28,11 @@ from .bench import (
     _check_schema_version,
     _fmt,
     _require_keys,
+    build_game,
     load_config,
     partition_from_spec,
     resolve_threads,
     run_benchmark,
-    validate_game_spec,
 )
 from .exact import (
     Partition,
@@ -42,7 +42,7 @@ from .exact import (
     fgsv_valuation,
     gsv_valuation,
 )
-from .games import SIZE_UTILITIES, game_from_config
+from .games import SIZE_UTILITIES
 
 log = logging.getLogger("groupshapley")
 
@@ -83,8 +83,7 @@ def _attack_partition(cfg: dict):
             groups.append(list(range(pos, pos + s)))
             pos += s
         return SIZE_UTILITIES[name], Partition(groups, n=pos)
-    validate_game_spec(cfg["game"])
-    game = game_from_config(cfg["game"])
+    game = build_game(cfg["game"])
     partition = partition_from_spec(cfg["groups"], game.n)
     return game, partition
 
@@ -138,8 +137,7 @@ def _cmd_axioms(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
     allowed = {"schema_version", "game", "method", "partitions", "tol"}
     _require_keys(cfg, allowed, {"schema_version", "game", "method", "partitions"},
                   "config")
-    validate_game_spec(cfg["game"])
-    game = game_from_config(cfg["game"])
+    game = build_game(cfg["game"])
     method = cfg["method"]
     if method not in ("fgsv", "gsv"):
         raise ConfigError(f"method must be 'fgsv' or 'gsv', got {method!r}")
@@ -166,8 +164,7 @@ def _cmd_exact(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
     _check_schema_version(cfg, "config")
     _require_keys(cfg, {"schema_version", "game", "groups"},
                   {"schema_version", "game", "groups"}, "config")
-    validate_game_spec(cfg["game"])
-    game = game_from_config(cfg["game"])
+    game = build_game(cfg["game"])
     partition = partition_from_spec(cfg["groups"], game.n)
 
     os.makedirs(out_dir, exist_ok=True)

@@ -58,10 +58,6 @@ class HypergeomParams:
         return lo, probs
 
 
-def hypergeom_pmf(p: HypergeomParams, s1: int) -> float:
-    return p.pmf(s1)
-
-
 def log_family_size(n: int, s0: int, s: int, s1: int) -> float:
     """Log count of subsets S with |S| = s and |S ∩ S0| = s1."""
     return log_binom(s0, s1) + log_binom(n - s0, s - s1)
@@ -114,14 +110,6 @@ def sample_subsets_with_intersection(
     return masks
 
 
-def sample_subset_with_intersection(
-    rng: np.random.Generator, n: int, members, s: int, s1: int
-) -> np.ndarray:
-    """Sorted index array of one uniform subset with the given size and overlap."""
-    mask = sample_subsets_with_intersection(rng, n, np.asarray(sorted(members)), s, s1, 1)[0]
-    return np.flatnonzero(mask)
-
-
 def sample_paired_tuples(
     rng: np.random.Generator,
     n: int,
@@ -165,14 +153,6 @@ def sample_paired_tuples(
         masks[rows, comp[order[:, :s2]]] = True
     z2 = comp[order[:, s2]]
     return masks, z1, z2
-
-
-def sample_paired_tuple(
-    rng: np.random.Generator, n: int, members, s: int, s1: int
-) -> tuple[np.ndarray, int, int]:
-    """Single (S, z1, z2) tuple; S returned as a sorted index array."""
-    masks, z1, z2 = sample_paired_tuples(rng, n, np.asarray(sorted(members)), s, s1, 1)
-    return np.flatnonzero(masks[0]), int(z1[0]), int(z2[0])
 
 
 def sample_uniform_subsets(

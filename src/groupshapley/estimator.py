@@ -73,12 +73,45 @@ class GroupValueEstimate:
         }
 
 
-def _paired_overlap_range(n: int, s0: int, s: int) -> tuple[int, int]:
-    """Overlap values for which a paired tuple exists: the hypergeometric
-    support shrunk so both residual pools stay non-empty."""
-    lo = max(0, s + s0 - n + 1)
-    hi = min(s, s0 - 1)
-    return lo, hi
+def _size_plan(n: int, s0: int, size_threshold: int):
+    """The coalition sizes one estimator run evaluates, in order.
+
+    Yields ``(s, s1, probs)``. For a grid size below the threshold, ``s1``
+    is the lowest feasible overlap and ``probs[j]`` the hypergeometric
+    weight of overlap ``s1 + j``. For a paired size, ``s1`` is the expected
+    overlap, clamped so that both residual pools stay non-empty, and
+    ``probs`` is None. Paired sizes with no such overlap contribute zero and
+    are left out.
+    """
+    alpha0 = s0 / n
+    for s in range(1, n):
+        if s < size_threshold:
+            lo, probs = HypergeomParams(n, s0, s).pmf_vector()
+            yield s, lo, probs
+            continue
+        lo = max(0, s + s0 - n + 1)
+        hi = min(s, s0 - 1)
+        if lo <= hi:
+            yield s, min(max(math.floor(s * alpha0), lo), hi), None
+
+
+def _mean_utility(
+    game: Game, members: np.ndarray, s: int, s1: int, samples: int,
+    rng: np.random.Generator, exhaustive: bool,
+) -> tuple[float, float]:
+    """Mean utility over one (size, overlap) family and the variance of that
+    mean, which is zero when the family is enumerated."""
+    n, s0 = game.n, len(members)
+    lo, hi = HypergeomParams(n, s0, s).support()
+    if s1 < lo or s1 > hi:
+        raise ValueError(f"overlap {s1} infeasible (support [{lo}, {hi}])")
+    if exhaustive and log_family_size(n, s0, s, s1) <= math.log(samples):
+        masks = _family_masks(n, members, s, s1)
+        return float(game.evaluate_masks(masks).mean()), 0.0
+    masks = sample_subsets_with_intersection(rng, n, members, s, s1, samples)
+    utils = game.evaluate_masks(masks)
+    var = float(utils.var(ddof=1)) if samples > 1 else 0.0
+    return float(utils.mean()), var / samples
 
 
 def estimate_mean_utility(
@@ -94,15 +127,7 @@ def estimate_mean_utility(
     overlap; enumerates the whole family instead when ``exhaustive`` is set
     and the family is no larger than ``samples``."""
     members = np.array(sorted(set(int(i) for i in members)), dtype=np.intp)
-    n, s0 = game.n, len(members)
-    lo, hi = HypergeomParams(n, s0, s).support()
-    if s1 < lo or s1 > hi:
-        raise ValueError(f"overlap {s1} infeasible (support [{lo}, {hi}])")
-    if exhaustive and log_family_size(n, s0, s, s1) <= math.log(samples):
-        masks = _family_masks(n, members, s, s1)
-        return float(game.evaluate_masks(masks).mean())
-    masks = sample_subsets_with_intersection(rng, n, members, s, s1, samples)
-    return float(game.evaluate_masks(masks).mean())
+    return _mean_utility(game, members, s, s1, samples, rng, exhaustive)[0]
 
 
 def estimate_mean_utility_gap(
@@ -134,44 +159,34 @@ def estimate_mean_utility_gap(
 
 
 def predicted_evaluations(n: int, s0: int, config: EstimatorConfig) -> int:
-    """Closed-form utility-evaluation count of :func:`estimate_group_value`
-    in pure sampling mode (no exhaustive enumeration)."""
+    """Utility-evaluation count of :func:`estimate_group_value` in pure
+    sampling mode (no exhaustive enumeration), read off the size plan."""
     if s0 == 0:
         return 0
     if s0 == n:
         return 2
-    total = 2
-    for s in range(1, n):
-        if s < config.size_threshold:
-            lo, hi = HypergeomParams(n, s0, s).support()
-            total += config.grid_samples * (hi - lo + 1)
-        else:
-            lo, hi = _paired_overlap_range(n, s0, s)
-            if lo <= hi:
-                total += 2 * config.pair_samples
-    return total
+    return 2 + sum(
+        config.grid_samples * len(probs) if probs is not None
+        else 2 * config.pair_samples
+        for _, _, probs in _size_plan(n, s0, config.size_threshold)
+    )
 
 
-def estimate_group_value(
+def _run_plan(
     game: Game,
     members,
     config: EstimatorConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    pair_game: Game,
 ) -> GroupValueEstimate:
-    """Two-regime estimate of the faithful group Shapley value of ``members``.
-
-    Sizes below the threshold use per-overlap mean-utility estimates combined
-    with exact hypergeometric weights; larger sizes use a single paired
-    difference at the expected overlap (clamped into the feasible range, with
-    infeasible sizes contributing zero).
-    """
+    """Runs the size plan: the efficiency endpoints and the grid cells on
+    ``game``, the paired differences on ``pair_game``. Both must count their
+    evaluations on ``game``'s counter."""
     members = np.array(sorted(set(int(i) for i in members)), dtype=np.intp)
     n = game.n
     s0 = len(members)
     if len(members) and (members[0] < 0 or members[-1] >= n):
         raise ValueError("member index out of range")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     recorder = Recorder(config.checkpoint_interval)
     start = game.eval_counter
 
@@ -194,34 +209,27 @@ def estimate_group_value(
     per_size = np.zeros(n - 1)
     variance_total = 0.0
 
-    for s in range(1, n):
-        if s < config.size_threshold:
-            params = HypergeomParams(n, s0, s)
-            lo, probs = params.pmf_vector()
-            term = 0.0
-            for j, p in enumerate(probs):
-                s1 = lo + j
-                mu = estimate_mean_utility(
-                    game, members, s, s1, config.grid_samples, rng,
-                    exhaustive=config.exhaustive_small_sizes,
-                )
-                term += p * (n / (n - s)) * (s1 / s - alpha0) * mu
-                recorder.update(game.eval_counter - start, running + term)
-        else:
-            lo, hi = _paired_overlap_range(n, s0, s)
-            if lo > hi:
-                log.debug("size %d has no feasible paired overlap; term set to 0", s)
-                per_size[s - 1] = 0.0
-                continue
-            target = math.floor(s * alpha0)
-            s1 = min(max(target, lo), hi)
+    for s, s1, probs in _size_plan(n, s0, config.size_threshold):
+        if probs is None:
             gap, var = estimate_mean_utility_gap(
-                game, members, s, s1, config.pair_samples, rng, return_variance=True
+                pair_game, members, s, s1, config.pair_samples, rng,
+                return_variance=True,
             )
             coef = (n / (n - 1)) * alpha0 * (1 - alpha0)
             term = coef * gap
             variance_total += (coef**2) * var / config.pair_samples
             recorder.update(game.eval_counter - start, running + term)
+        else:
+            term = 0.0
+            for cell_s1, p in enumerate(probs, start=s1):
+                mu, mu_var = _mean_utility(
+                    game, members, s, cell_s1, config.grid_samples, rng,
+                    config.exhaustive_small_sizes,
+                )
+                weight = p * (n / (n - s)) * (cell_s1 / s - alpha0)
+                term += weight * mu
+                variance_total += weight**2 * mu_var
+                recorder.update(game.eval_counter - start, running + term)
         per_size[s - 1] = term
         running += term
 
@@ -232,6 +240,24 @@ def estimate_group_value(
         recorder.curve,
         std_error=math.sqrt(variance_total),
     )
+
+
+def estimate_group_value(
+    game: Game,
+    members,
+    config: EstimatorConfig,
+    rng: np.random.Generator | None = None,
+) -> GroupValueEstimate:
+    """Two-regime estimate of the faithful group Shapley value of ``members``.
+
+    Sizes below the threshold use per-overlap mean-utility estimates combined
+    with exact hypergeometric weights; larger sizes use a single paired
+    difference at the expected overlap (clamped into the feasible range, with
+    infeasible sizes contributing zero).
+    """
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    return _run_plan(game, members, config, rng, pair_game=game)
 
 
 def choose_parameters(
@@ -282,58 +308,13 @@ def estimate_group_value_augmented(
 
     The efficiency endpoint term uses the raw game's full-set and empty-set
     utilities; only the paired differences go through the padded wrapper.
+    Only ``seed`` and ``checkpoint_interval`` are read from ``config``.
     """
-    members = np.array(sorted(set(int(i) for i in members)), dtype=np.intp)
-    n = game.n
-    s0 = len(members)
-    if len(members) and (members[0] < 0 or members[-1] >= n):
-        raise ValueError("member index out of range")
     if rng is None:
         rng = np.random.default_rng(config.seed if config else None)
-    interval = config.checkpoint_interval if config else None
-    recorder = Recorder(interval)
-    start = game.eval_counter
-
-    if s0 == 0:
-        return GroupValueEstimate(0.0, np.zeros(max(n - 1, 0)), 0, recorder.curve)
-    u_full = game.evaluate(range(n))
-    u_empty = game.evaluate([])
-    if s0 == n:
-        value = u_full - u_empty
-        recorder.update(game.eval_counter - start, value)
-        return GroupValueEstimate(
-            value, np.zeros(n - 1), game.eval_counter - start, recorder.curve
-        )
-
-    wrapped = augment_with_null(game, B, null_sampler=null_sampler, rng=rng)
-    alpha0 = s0 / n
-    running = alpha0 * (u_full - u_empty)
-    recorder.update(game.eval_counter - start, running)
-    per_size = np.zeros(n - 1)
-    variance_total = 0.0
-    coef = (n / (n - 1)) * alpha0 * (1 - alpha0)
-
-    for s in range(1, n):
-        lo, hi = _paired_overlap_range(n, s0, s)
-        if lo > hi:
-            log.debug("size %d has no feasible paired overlap; term set to 0", s)
-            continue
-        s1 = min(max(math.floor(s * alpha0), lo), hi)
-        gap, var = estimate_mean_utility_gap(
-            wrapped, members, s, s1, samples, rng, return_variance=True
-        )
-        term = coef * gap
-        variance_total += (coef**2) * var / samples
-        per_size[s - 1] = term
-        running += term
-        recorder.update(
-            game.eval_counter - start + wrapped.eval_counter, running
-        )
-
-    return GroupValueEstimate(
-        running,
-        per_size,
-        game.eval_counter - start + wrapped.eval_counter,
-        recorder.curve,
-        std_error=math.sqrt(variance_total),
+    all_paired = EstimatorConfig(
+        size_threshold=1, grid_samples=1, pair_samples=samples,
+        checkpoint_interval=config.checkpoint_interval if config else None,
     )
+    padded = augment_with_null(game, B, null_sampler=null_sampler, rng=rng)
+    return _run_plan(game, members, all_paired, rng, pair_game=padded)

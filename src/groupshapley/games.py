@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -63,8 +64,11 @@ class Game:
         return float(self._value(mask))
 
     def evaluate_mask(self, mask: np.ndarray) -> float:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self._n,):
+            raise ValueError(f"mask must have shape ({self._n},), got {mask.shape}")
         self._count(1)
-        return float(self._value(np.asarray(mask, dtype=bool)))
+        return float(self._value(mask))
 
     def evaluate_masks(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=bool)
@@ -90,8 +94,11 @@ class Game:
     def _values(self, masks: np.ndarray) -> np.ndarray:
         return np.array([self._value(m) for m in masks], dtype=float)
 
-    # Optional capability: evaluate with extra synthetic items appended.
-    def _padded_value(self, mask: np.ndarray, pad: int, rng: np.random.Generator) -> float:
+    # Optional capability: evaluate with ``pad`` synthetic items appended,
+    # drawn by ``null_sampler(rng, pad)`` where the game uses item data.
+    def _padded_value(
+        self, mask: np.ndarray, pad: int, rng: np.random.Generator, null_sampler=None
+    ) -> float:
         raise UnsupportedGameError(
             f"{type(self).__name__} does not support synthetic augmentation"
         )
@@ -164,18 +171,9 @@ class SOUGame(Game):
             np.all((block & bits) == bits, axis=0, out=contained[lo : lo + step])
         return contained @ self.coefficients
 
-    def exact_shapley(self, i: int) -> float:
-        """Closed-form Shapley value of one player: sum of coefficient/|subset|
-        over tracked subsets containing the player."""
-        if i < 0 or i >= self.n:
-            raise ValueError(f"player {i} out of range")
-        total = 0.0
-        for a, alpha in zip(self.subsets, self.coefficients):
-            if i in a:
-                total += alpha / len(a)
-        return total
-
     def exact_shapley_vector(self) -> np.ndarray:
+        """Closed-form Shapley values: player i gets coefficient/|subset| from
+        every tracked subset that contains it."""
         out = np.zeros(self.n)
         for a, alpha in zip(self.subsets, self.coefficients):
             out[a] += alpha / len(a)
@@ -228,7 +226,7 @@ class SizeOnlyGame(Game):
         return np.array([self.size_utility(int(s)) for s in sizes], dtype=float)
 
     # Null items only inflate the coalition size here.
-    def _padded_value(self, mask: np.ndarray, pad: int, rng) -> float:
+    def _padded_value(self, mask: np.ndarray, pad: int, rng, null_sampler=None) -> float:
         return float(self.size_utility(int(mask.sum()) + pad))
 
     def to_config(self) -> dict:
@@ -312,8 +310,12 @@ class RegressionGame(Game):
             return self.null_utility
         return self._fit_and_score(self.X_train[mask], self.y_train[mask])
 
-    def _padded_value(self, mask: np.ndarray, pad: int, rng: np.random.Generator) -> float:
-        Xn, yn = self.default_null_sampler(rng, pad)
+    def _padded_value(
+        self, mask: np.ndarray, pad: int, rng: np.random.Generator, null_sampler=None
+    ) -> float:
+        if null_sampler is None:
+            null_sampler = self.default_null_sampler
+        Xn, yn = null_sampler(rng, pad)
         X = np.vstack([self.X_train[mask], Xn])
         y = np.concatenate([self.y_train[mask], yn])
         return self._fit_and_score(X, y)
@@ -331,7 +333,9 @@ class NullAugmentedGame(Game):
     the target size; coalitions at or above the threshold pass through.
 
     The fresh draws make the wrapped game stochastic: the purity guarantee of
-    the base class is deliberately waived here.
+    the base class is deliberately waived here. A padded evaluation is one
+    evaluation of the base utility, so the wrapper counts on the base's
+    counter.
     """
 
     def __init__(self, base: Game, threshold: int, null_sampler=None, rng=None):
@@ -348,17 +352,20 @@ class NullAugmentedGame(Game):
         self.null_sampler = null_sampler
         self.rng = rng if rng is not None else np.random.default_rng()
 
+    @property
+    def eval_counter(self) -> int:
+        return self.base.eval_counter
+
+    def _count(self, k: int) -> None:
+        self.base._count(k)
+
     def _value(self, mask: np.ndarray) -> float:
         size = int(mask.sum())
         if size >= self.threshold:
             return self.base._value(mask)
-        pad = self.threshold - size
-        if self.null_sampler is not None and isinstance(self.base, RegressionGame):
-            Xn, yn = self.null_sampler(self.rng, pad)
-            X = np.vstack([self.base.X_train[mask], Xn])
-            y = np.concatenate([self.base.y_train[mask], yn])
-            return self.base._fit_and_score(X, y)
-        return self.base._padded_value(mask, pad, self.rng)
+        return self.base._padded_value(
+            mask, self.threshold - size, self.rng, self.null_sampler
+        )
 
 
 def augment_with_null(game: Game, B: int, null_sampler=None, rng=None) -> Game:
@@ -386,9 +393,12 @@ def load_regression_csv(path, test_fraction: float, lam: float, seed) -> Regress
             if len(rec) != width:
                 raise ValueError(f"{path}:{lineno}: expected {width} columns")
             try:
-                rows.append([float(v) for v in rec])
+                row = [float(v) for v in rec]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{path}:{lineno}: non-finite cell")
+            rows.append(row)
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError(f"{path}: need at least one predictor and a response")

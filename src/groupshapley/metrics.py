@@ -1,5 +1,5 @@
-"""Convergence and share metrics: area under the convergence curve, absolute
-relative error of the final estimate, and royalty shares."""
+"""Convergence and share metrics: area under the convergence curve and
+royalty shares."""
 
 from __future__ import annotations
 
@@ -69,13 +69,6 @@ def aucc(curve: ConvergenceCurve, truth: float, num_checkpoints: int = 100) -> f
         )
     est = curve.estimates()[:num_checkpoints]
     return float(np.mean(np.abs((truth - est) / truth)))
-
-
-def are(final_estimate: float, truth: float) -> float:
-    """Absolute relative error of the final estimate."""
-    if truth == 0:
-        raise ZeroDivisionError("absolute relative error undefined for zero truth")
-    return abs((truth - final_estimate) / truth)
 
 
 def royalty_shares(group_values) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from groupshapley import cli
 from groupshapley.attacks import (
     AttackReport,
     SplitSchedule,
@@ -170,14 +171,22 @@ class TestRunAttack:
         part = Partition([[0], [1, 2]], n=3)
         report = run_attack(SAT2, part, [SplitSchedule(1, 2)])
         jpath = tmp_path / "report.json"
-        cpath = tmp_path / "report.csv"
         report.write_json(jpath)
-        report.write_csv(cpath)
         blob = json.loads(jpath.read_text())
         assert blob["prudent"] is True
-        lines = cpath.read_text().strip().splitlines()
-        assert lines[0] == "schedule,group,is_attacker,gsv,fgsv,prudent"
+        # The CLI writes the CSV form of the same report.
+        cfg = tmp_path / "attack.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "ubar": "saturating2", "group_sizes": [1, 2],
+            "target_group": 1, "pieces": [2],
+        }))
+        assert cli.main(["attack", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "attack.csv").read_text().strip().splitlines()
+        assert lines[0] == "schedule,group,is_attacker,gsv,fgsv,prudent,seed,version,timestamp"
         assert len(lines) == 1 + 4  # 2 groups x (baseline + one schedule)
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            [str(r.pieces), str(r.group + 1), str(int(r.is_attacker))] for r in report.rows
+        ]
 
 
 def test_size_only_fgsv_is_headcount_share():

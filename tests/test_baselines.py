@@ -12,6 +12,7 @@ from groupshapley.baselines import (
     group_testing_estimator,
     kernelshap_estimator,
     leverageshap_estimator,
+    min_baseline_budget,
     one_for_all_estimator,
     permutation_estimator,
     predicted_baseline_evaluations,
@@ -323,15 +324,23 @@ class TestBudgetHonesty:
             n = int(rng.integers(4, 11))
             g = sou_generate(n, n, int(rng.integers(10**6)))
             for name, fn in BASELINE_ESTIMATORS.items():
-                lo = {"permutation": n + 1, "one_for_all": 2 * n + 2,
-                      "kernelshap": n + 2, "unbiased_kernelshap": n + 2,
-                      "leverageshap": 4}.get(name, 2)
+                lo = min_baseline_budget(name, n)
                 budget = int(rng.integers(lo, lo + 400))
                 est = fn(g, budget, np.random.default_rng(0))
                 assert est.evaluations_used == \
                     predicted_baseline_evaluations(name, n, budget), \
                     (name, n, budget)
                 assert est.evaluations_used <= budget
+
+    @pytest.mark.parametrize("name", sorted(BASELINE_ESTIMATORS))
+    def test_minimum_budget_is_the_estimators_own(self, name):
+        g = sou_generate(6, 10, 1)
+        fn = BASELINE_ESTIMATORS[name]
+        need = min_baseline_budget(name, 6)
+        with pytest.raises(ValueError, match="minimum"):
+            fn(g, need - 1, np.random.default_rng(0))
+        est = fn(g, need, np.random.default_rng(0))
+        assert est.evaluations_used == predicted_baseline_evaluations(name, 6, need)
 
 
 class TestDeterminismAndCurves:

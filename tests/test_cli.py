@@ -229,6 +229,38 @@ class TestBenchCommand:
         assert rc == 2
 
 
+class TestBadRegressionCsv:
+    """A regression CSV that cannot be read or parsed is a config error
+    (exit 2) in every subcommand that builds a game."""
+
+    def payload(self, command, game):
+        groups = {"rule": "mod", "k": 2}
+        if command == "bench":
+            return bench_payload(game=game, groups=groups)
+        if command == "exact":
+            return {"schema_version": 1, "game": game, "groups": groups}
+        if command == "axioms":
+            return {"schema_version": 1, "game": game, "method": "fgsv",
+                    "partitions": [{"explicit": [[0, 1], [2, 3]]}]}
+        return {"schema_version": 1, "game": game, "groups": groups,
+                "target_group": 0, "pieces": [2]}
+
+    @pytest.mark.parametrize("command", ["bench", "exact", "axioms", "attack"])
+    @pytest.mark.parametrize("content", [
+        None, "a,y\n1,2\nx,3\n4,5\n6,7\n", "a,y\n1,2\nnan,3\n4,5\n6,7\n",
+    ], ids=["missing", "non-numeric", "nan"])
+    def test_exit_code(self, tmp_path, capsys, command, content):
+        data = tmp_path / "data.csv"
+        if content is not None:
+            data.write_text(content)
+        game = {"type": "regression_csv", "path": str(data),
+                "test_fraction": 0.5, "lambda": 1.0, "seed": 0}
+        cfg = write_config(tmp_path, "cfg.json", self.payload(command, game))
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: game:")
+
+
 class TestAttackCommand:
     def payload(self, **overrides):
         p = {

@@ -7,12 +7,9 @@ import scipy.stats
 
 from groupshapley.combinatorics import (
     HypergeomParams,
-    hypergeom_pmf,
     log_binom,
     log_family_size,
-    sample_paired_tuple,
     sample_paired_tuples,
-    sample_subset_with_intersection,
     sample_subsets_with_intersection,
     sample_uniform_subsets,
 )
@@ -52,10 +49,6 @@ class TestPmf:
     def test_out_of_support_is_zero(self):
         assert HypergeomParams(4, 2, 2).pmf(3) == 0.0
         assert HypergeomParams(10, 3, 9).pmf(1) == 0.0  # below lower support edge
-
-    def test_function_form(self):
-        p = HypergeomParams(4, 2, 2)
-        assert hypergeom_pmf(p, 1) == p.pmf(1)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -103,18 +96,18 @@ class TestPmf:
 class TestSubsetSampler:
     def test_forced_members(self):
         rng = np.random.default_rng(0)
-        S = sample_subset_with_intersection(rng, 4, [0, 1], 2, 2)
-        assert list(S) == [0, 1]
+        masks = sample_subsets_with_intersection(rng, 4, np.array([0, 1]), 2, 2, 1)
+        assert list(np.flatnonzero(masks[0])) == [0, 1]
 
     def test_full_set(self):
         rng = np.random.default_rng(0)
-        S = sample_subset_with_intersection(rng, 4, [0, 1], 4, 2)
-        assert list(S) == [0, 1, 2, 3]
+        masks = sample_subsets_with_intersection(rng, 4, np.array([0, 1]), 4, 2, 1)
+        assert list(np.flatnonzero(masks[0])) == [0, 1, 2, 3]
 
     def test_infeasible_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_subset_with_intersection(rng, 4, [0, 1], 2, 3)
+            sample_subsets_with_intersection(rng, 4, np.array([0, 1]), 2, 3, 1)
 
     def test_constraints_hold_in_batch(self):
         rng = np.random.default_rng(3)
@@ -144,18 +137,19 @@ class TestPairedSampler:
     def test_forced_z1(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            S, z1, z2 = sample_paired_tuple(rng, 3, [0], 1, 0)
-            assert z1 == 0
+            masks, z1, z2 = sample_paired_tuples(rng, 3, np.array([0]), 1, 0, 1)
+            S = np.flatnonzero(masks[0])
+            assert z1[0] == 0
             assert list(S) in ([1], [2])
-            assert z2 == ({1, 2} - set(S)).pop()
+            assert z2[0] == ({1, 2} - set(S)).pop()
 
     def test_cardinality_forced(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            S, z1, z2 = sample_paired_tuple(rng, 4, [0, 1], 2, 1)
-            S = set(S)
-            assert z1 in {0, 1} - S
-            assert z2 in {2, 3} - S
+            masks, z1, z2 = sample_paired_tuples(rng, 4, np.array([0, 1]), 2, 1, 1)
+            S = set(np.flatnonzero(masks[0]))
+            assert z1[0] in {0, 1} - S
+            assert z2[0] in {2, 3} - S
             assert len(S & {0, 1}) == 1
 
     def test_empty_member_pool_diagnostic(self):

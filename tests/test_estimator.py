@@ -190,6 +190,26 @@ class TestEstimateGroupValue:
         with pytest.raises(ValueError):
             estimate_group_value(g, [0, 9], cfg)
 
+    def test_grid_std_error_matches_spread(self):
+        # All sizes on the grid: the reported standard error must track the
+        # spread of the estimates across seeds.
+        g = sou_generate(10, 30, 1)
+        cfg = EstimatorConfig(size_threshold=10, grid_samples=16, pair_samples=1)
+        runs = [
+            estimate_group_value(g, [0, 1, 2], cfg, rng=np.random.default_rng(seed))
+            for seed in range(300)
+        ]
+        sd = np.std([r.value for r in runs], ddof=1)
+        rms_se = math.sqrt(np.mean([r.std_error**2 for r in runs]))
+        assert 0.8 <= sd / rms_se <= 1.25
+
+    def test_exhaustive_grid_has_zero_std_error(self):
+        g = sou_generate(7, 15, 5)
+        cfg = EstimatorConfig(size_threshold=7, grid_samples=10**6, pair_samples=1,
+                              exhaustive_small_sizes=True)
+        est = estimate_group_value(g, [1, 3, 5], cfg, rng=np.random.default_rng(0))
+        assert est.std_error == 0.0
+
     def test_convergence_in_samples(self):
         g = sou_generate(10, 30, 14)
         members = [0, 2, 4, 6]
@@ -243,6 +263,16 @@ class TestAugmentedEstimator:
         )
         assert est.value == pytest.approx((4 / 10) * (ubar(10) - ubar(0)),
                                           abs=1e-12)
+
+    def test_evaluations_follow_all_paired_plan(self):
+        g = SizeOnlyGame(10, SIZE_UTILITIES["cubic"], name="cubic")
+        est = estimate_group_value_augmented(
+            g, [0, 1, 2], B=4, samples=7, null_sampler=None,
+            rng=np.random.default_rng(0),
+        )
+        plan = EstimatorConfig(size_threshold=1, grid_samples=1, pair_samples=7)
+        assert est.evaluations_used == g.eval_counter
+        assert est.evaluations_used == predicted_evaluations(10, 3, plan)
 
     def test_b_one_matches_unaugmented_distribution(self):
         # with B=1 the padding never fires, so a run equals the plain

@@ -81,6 +81,13 @@ class TestEvaluate:
                 g.evaluate_masks(np.ones(shape, dtype=bool))
             assert g.eval_counter == 0
 
+    @pytest.mark.parametrize("shape", [(9,), (4,), (1, 5), ()])
+    def test_single_mask_shape_rejected_before_counting(self, shape):
+        g = SizeOnlyGame(5, lambda s: float(s))
+        with pytest.raises(ValueError, match="shape"):
+            g.evaluate_mask(np.ones(shape, dtype=bool))
+        assert g.eval_counter == 0
+
     def test_batch_matches_scalar(self):
         g = sou_generate(7, 25, 9)
         rng = np.random.default_rng(1)
@@ -236,12 +243,12 @@ class TestCountingView:
 class TestSouClosedForm:
     def test_two_member_unanimity(self):
         g = SOUGame(3, [[0, 1]], [1.0])
-        assert g.exact_shapley(0) == 0.5
-        assert g.exact_shapley(2) == 0.0
+        assert g.exact_shapley_vector()[0] == 0.5
+        assert g.exact_shapley_vector()[2] == 0.0
 
     def test_two_subsets(self):
         g = SOUGame(2, [[0], [0, 1]], [0.5, 1.0])
-        assert g.exact_shapley(0) == pytest.approx(1.0)
+        assert g.exact_shapley_vector()[0] == pytest.approx(1.0)
         assert brute_force_sv(g, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_brute_force(self):
@@ -249,16 +256,10 @@ class TestSouClosedForm:
         closed = g.exact_shapley_vector()
         for i in range(6):
             assert brute_force_sv(g, i) == pytest.approx(closed[i], abs=1e-12)
-            assert g.exact_shapley(i) == pytest.approx(closed[i], abs=1e-15)
 
     def test_null_player(self):
         g = SOUGame(5, [[0, 1], [2]], [2.0, 1.0])
-        assert g.exact_shapley(4) == 0.0
-
-    def test_index_out_of_range(self):
-        g = SOUGame(3, [[0]], [1.0])
-        with pytest.raises(ValueError):
-            g.exact_shapley(3)
+        assert g.exact_shapley_vector()[4] == 0.0
 
     def test_subset_validation(self):
         with pytest.raises(ValueError):
@@ -297,6 +298,22 @@ class TestAugmentation:
         g = SizeOnlyGame(4, lambda s: float(s))
         wrapped = augment_with_null(g, 7, rng=np.random.default_rng(0))
         assert wrapped.evaluate([0, 1, 2, 3]) == 7.0
+
+    def test_counts_on_base_counter(self):
+        g = SizeOnlyGame(6, lambda s: float(s))
+        wrapped = augment_with_null(g, 3, rng=np.random.default_rng(0))
+        wrapped.evaluate([0])
+        wrapped.evaluate_masks(np.zeros((4, 6), dtype=bool))
+        assert g.eval_counter == wrapped.eval_counter == 5
+
+    def test_regression_null_sampler_pads_rows(self):
+        game = _toy_regression()
+        Xn, yn = np.ones((2, 3)), np.zeros(2)
+        wrapped = augment_with_null(game, 3, null_sampler=lambda rng, k: (Xn[:k], yn[:k]),
+                                    rng=np.random.default_rng(0))
+        expected = game._fit_and_score(np.vstack([game.X_train[[4]], Xn]),
+                                       np.concatenate([game.y_train[[4]], yn]))
+        assert wrapped.evaluate([4]) == expected
 
     def test_regression_empty_set_self_consistent(self):
         game = _toy_regression()
@@ -367,6 +384,12 @@ class TestLoadRegressionCsv:
     def test_non_numeric_cell(self, tmp_path):
         path = self._write(tmp_path, "a,y\n1,2\nx,3\n4,5\n6,7\n")
         with pytest.raises(ValueError, match="non-numeric"):
+            load_regression_csv(path, 0.5, 0.01, seed=0)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = self._write(tmp_path, f"a,y\n1,2\n3,4\n{cell},5\n6,7\n")
+        with pytest.raises(ValueError, match=":4: non-finite"):
             load_regression_csv(path, 0.5, 0.01, seed=0)
 
     def test_ragged_row(self, tmp_path):
