@@ -112,6 +112,17 @@ METHOD_KEYS = {
 KNOWN_METHODS = set(BASELINE_ESTIMATORS) | {"fgsv"}
 
 
+def _check_fgsv_values(method: dict) -> None:
+    for key in ("size_threshold", "grid_samples", "pair_samples"):
+        v = method.get(key, 1)
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ConfigError(f"methods[fgsv]: {key} must be an integer >= 1, got {v!r}")
+    if not isinstance(method.get("exhaustive", False), bool):
+        raise ConfigError(
+            f"methods[fgsv]: exhaustive must be true or false, got {method['exhaustive']!r}"
+        )
+
+
 @dataclass
 class BenchConfig:
     game_spec: dict
@@ -145,6 +156,8 @@ class BenchConfig:
                 raise ConfigError(f"methods: unknown method {m['name']!r}")
             allowed_keys = METHOD_KEYS.get(m["name"], {"name"})
             _require_keys(m, allowed_keys, {"name"}, f"methods[{m['name']}]")
+            if m["name"] == "fgsv":
+                _check_fgsv_values(m)
         budget = int(cfg["budget"])
         if budget < 1:
             raise ConfigError("budget must be positive")

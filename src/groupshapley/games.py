@@ -222,8 +222,8 @@ class SizeOnlyGame(Game):
         return float(self.size_utility(int(mask.sum())))
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        sizes = masks.sum(axis=1)
-        return np.array([self.size_utility(int(s)) for s in sizes], dtype=float)
+        sizes, inverse = np.unique(masks.sum(axis=1), return_inverse=True)
+        return np.array([self.size_utility(int(s)) for s in sizes], dtype=float)[inverse]
 
     # Null items only inflate the coalition size here.
     def _padded_value(self, mask: np.ndarray, pad: int, rng, null_sampler=None) -> float:
@@ -259,9 +259,20 @@ class IntersectionSizeGame(Game):
     def _values(self, masks: np.ndarray) -> np.ndarray:
         sizes = masks.sum(axis=1)
         overlaps = masks[:, self._member_mask].sum(axis=1)
-        return np.array(
-            [self.profile(int(a), int(b)) for a, b in zip(overlaps, sizes)], dtype=float
+        keys, inverse = np.unique(
+            np.stack([overlaps, sizes], axis=1), axis=0, return_inverse=True
         )
+        return np.array(
+            [self.profile(int(a), int(b)) for a, b in keys], dtype=float
+        )[inverse.reshape(-1)]
+
+
+# Entries of the widest per-row array in one block of the batched regression
+# kernel (the coalition row, its Gram matrix or its test residuals). 2^16
+# float64 entries keep each block near 512 KB: 4 096 rows at n=16, p=4.
+# Unblocked, the 65 536-mask exact table at n=16 raised peak RSS from 69 to
+# 95 MB and ran no faster.
+_REGRESSION_BLOCK_ENTRIES = 1 << 16
 
 
 class RegressionGame(Game):
@@ -288,6 +299,15 @@ class RegressionGame(Game):
         self.y_train = y_train
         self.lam = float(lam)
         self.null_utility = -float(np.var(self.y_test))
+        p = X_train.shape[1]
+        # Per-row terms of the Gram matrix and of the normal equations'
+        # right-hand side: a coalition's sums are one matmul with its mask.
+        self._outer = (X_train[:, :, None] * X_train[:, None, :]).reshape(-1, p * p)
+        self._xy = X_train * y_train[:, None]
+        self._ridge = self.lam * np.eye(p)
+        self._block_rows = max(
+            1, _REGRESSION_BLOCK_ENTRIES // max(self.n, p * p, len(self.y_test))
+        )
 
     @property
     def num_predictors(self) -> int:
@@ -297,7 +317,7 @@ class RegressionGame(Game):
         p = X.shape[1]
         if X.shape[0] < p:
             return self.null_utility
-        gram = X.T @ X + self.lam * np.eye(p)
+        gram = X.T @ X + self._ridge
         try:
             beta = np.linalg.solve(gram, X.T @ y)
         except np.linalg.LinAlgError:
@@ -306,9 +326,30 @@ class RegressionGame(Game):
         return -float(np.mean(resid**2))
 
     def _value(self, mask: np.ndarray) -> float:
-        if not mask.any():
-            return self.null_utility
-        return self._fit_and_score(self.X_train[mask], self.y_train[mask])
+        return self._values(mask[None, :])[0]
+
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        # One Gram matmul and one batched solve per block of coalitions. A
+        # singular Gram (possible only when lam == 0) fails the whole block,
+        # which is then re-scored row by row with the lstsq fallback.
+        p = self.num_predictors
+        out = np.full(len(masks), self.null_utility)
+        for lo in range(0, len(masks), self._block_rows):
+            block = masks[lo : lo + self._block_rows]
+            rows = lo + np.flatnonzero(block.sum(axis=1) >= max(p, 1))
+            sel = masks[rows].astype(np.float64)
+            grams = (sel @ self._outer).reshape(-1, p, p) + self._ridge
+            try:
+                beta = np.linalg.solve(grams, (sel @ self._xy)[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                out[rows] = [
+                    self._fit_and_score(self.X_train[m], self.y_train[m])
+                    for m in masks[rows]
+                ]
+                continue
+            resid = beta @ self.X_test.T - self.y_test
+            out[rows] = -np.mean(resid**2, axis=1)
+        return out
 
     def _padded_value(
         self, mask: np.ndarray, pad: int, rng: np.random.Generator, null_sampler=None
@@ -359,13 +400,29 @@ class NullAugmentedGame(Game):
     def _count(self, k: int) -> None:
         self.base._count(k)
 
+    def counting_view(self) -> "Game":
+        """Wrapper over a counting view of the base, so the view counts on a
+        fresh counter of its own."""
+        view = copy.copy(self)
+        view.base = self.base.counting_view()
+        return view
+
     def _value(self, mask: np.ndarray) -> float:
-        size = int(mask.sum())
-        if size >= self.threshold:
-            return self.base._value(mask)
-        return self.base._padded_value(
-            mask, self.threshold - size, self.rng, self.null_sampler
-        )
+        return self._values(mask[None, :])[0]
+
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        # Rows at or above the threshold go to the base kernel as one batch.
+        # The rest are padded one at a time in row order, so the null draws
+        # come from the RNG in the same order as a row-by-row loop.
+        sizes = masks.sum(axis=1)
+        passes = sizes >= self.threshold
+        out = np.empty(len(masks))
+        out[passes] = self.base._values(masks[passes])
+        for i in np.flatnonzero(~passes):
+            out[i] = self.base._padded_value(
+                masks[i], self.threshold - int(sizes[i]), self.rng, self.null_sampler
+            )
+        return out
 
 
 def augment_with_null(game: Game, B: int, null_sampler=None, rng=None) -> Game:

@@ -228,6 +228,56 @@ class TestBenchCommand:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("field", [
+        {"grid_samples": 0}, {"pair_samples": -1}, {"size_threshold": "x"},
+        {"grid_samples": 2.5}, {"pair_samples": True}, {"exhaustive": "yes"},
+    ])
+    def test_bad_fgsv_value_exit_code(self, tmp_path, capsys, monkeypatch, field):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_run_cell", no_cells)
+        payload = bench_payload(methods=[{"name": "fgsv", **field}])
+        cfg_path = write_config(tmp_path, "bad.json", payload)
+        rc = cli.main(["bench", "--config", cfg_path, "--out",
+                       str(tmp_path / "out")])
+        assert rc == 2
+        key = next(iter(field))
+        assert capsys.readouterr().err.startswith(f"config error: methods[fgsv]: {key}")
+
+    def test_regression_csv_exact_truth(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(16, 3))
+        y = X @ np.array([1.0, -1.0, 0.5]) + 0.3 * rng.normal(size=16)
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,c,y\n" + "".join(
+            ",".join(repr(float(v)) for v in (*x, t)) + "\n" for x, t in zip(X, y)))
+        fgsv = {"name": "fgsv"}
+        payload = bench_payload(
+            game={"type": "regression_csv", "path": str(data),
+                  "test_fraction": 0.25, "lambda": 1.0, "seed": 3},
+            groups={"rule": "mod", "k": 3}, truth={"source": "exact"},
+            methods=[fgsv, {"name": "permutation"}], budget=600, replications=2,
+        )
+        out = tmp_path / "out"
+        rc = cli.main(["bench", "--config", write_config(tmp_path, "cfg.json", payload),
+                       "--out", str(out)])
+        assert rc == 0
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        n, k = 12, 3
+        assert len(rows) == 2 * 2 * k
+        partition = partition_from_spec(payload["groups"], n)
+        for r in rows:
+            assert r["truth_source"] == "exact"
+            assert int(r["n"]) == n
+            if r["method"] == "fgsv":
+                s0 = len(partition.groups[int(r["group_id"]) - 1])
+                want = predicted_evaluations(n, s0, fgsv_config_for(n, s0, 600 // k, fgsv))
+            else:
+                want = predicted_baseline_evaluations(r["method"], n, 600)
+            assert int(r["evals"]) == want
+
 
 class TestBadRegressionCsv:
     """A regression CSV that cannot be read or parsed is a config error

@@ -299,6 +299,18 @@ class TestAugmentation:
         wrapped = augment_with_null(g, 7, rng=np.random.default_rng(0))
         assert wrapped.evaluate([0, 1, 2, 3]) == 7.0
 
+    def test_counting_view_counts_apart(self):
+        g = SizeOnlyGame(6, lambda s: float(s))
+        wrapped = augment_with_null(g, 3, rng=np.random.default_rng(0))
+        view = wrapped.counting_view()
+        assert view.base is not g and view.base.size_utility is g.size_utility
+        assert view.evaluate([0]) == 3.0
+        view.evaluate_masks(np.zeros((2, 6), dtype=bool))
+        assert view.eval_counter == 3
+        assert g.eval_counter == wrapped.eval_counter == 0
+        wrapped.evaluate([1])
+        assert (g.eval_counter, wrapped.eval_counter, view.eval_counter) == (1, 1, 3)
+
     def test_counts_on_base_counter(self):
         g = SizeOnlyGame(6, lambda s: float(s))
         wrapped = augment_with_null(g, 3, rng=np.random.default_rng(0))
@@ -314,6 +326,23 @@ class TestAugmentation:
         expected = game._fit_and_score(np.vstack([game.X_train[[4]], Xn]),
                                        np.concatenate([game.y_train[[4]], yn]))
         assert wrapped.evaluate([4]) == expected
+
+    def test_batch_matches_row_by_row_draws(self):
+        # Pass-through rows are scored as one batch; padded rows must still
+        # take their null draws from the RNG in row order.
+        game = _toy_regression()
+        masks = _random_masks(20, 60, np.random.default_rng(2))
+        masks[1:30:3] = False
+        masks[1:30:3, :2] = True  # 2 rows, padded up to 4
+        batched = augment_with_null(game, 4, rng=np.random.default_rng(7))
+        looped = augment_with_null(game, 4, rng=np.random.default_rng(7))
+        got = batched.evaluate_masks(masks)
+        want = [looped.evaluate_mask(m) for m in masks]
+        padded = masks.sum(axis=1) < 4
+        assert padded.sum() >= 10
+        assert np.array_equal(got[padded], np.array(want)[padded])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert game.eval_counter == 2 * len(masks)
 
     def test_regression_empty_set_self_consistent(self):
         game = _toy_regression()
@@ -358,6 +387,111 @@ class TestRegressionGame:
         with pytest.raises(ValueError):
             RegressionGame(np.zeros((4, 2)), np.zeros(4), np.zeros((3, 2)),
                            np.zeros(3), lam=-1.0)
+
+
+def _row_by_row(game, masks):
+    """The per-row reference: one ``_fit_and_score`` per mask, the null
+    utility below ``p`` rows."""
+    p = game.num_predictors
+    return np.array([
+        game.null_utility if m.sum() < max(p, 1)
+        else game._fit_and_score(game.X_train[m], game.y_train[m])
+        for m in masks
+    ])
+
+
+class TestRegressionKernel:
+    """The batched Gram-and-solve kernel against the per-row fit it replaced."""
+
+    @pytest.mark.parametrize("batch", ["zero", "one", "below", "at", "above"])
+    @settings(max_examples=3, deadline=None)
+    @given(n=st.integers(1, 12), p=st.integers(1, 4), lam=st.sampled_from([0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_by_row(self, batch, n, p, lam, seed):
+        rng = np.random.default_rng(seed)
+        game = RegressionGame(rng.normal(size=(n, p)), rng.normal(size=n),
+                              rng.normal(size=(5, p)), rng.normal(size=5), lam=lam)
+        step = game._block_rows
+        size = {"zero": 0, "one": 1, "below": step - 1, "at": step,
+                "above": step + 1}[batch]
+        masks = _random_masks(n, size, rng)
+        masks[-2:] = True  # full coalitions on both sides of a block boundary
+        # Masks with exactly p rows, where p <= n.
+        for i in range(2, min(size, 6)):
+            masks[i] = False
+            masks[i, rng.choice(n, size=min(p, n), replace=False)] = True
+        got = game._values(masks)
+        want = _row_by_row(game, masks)
+        assert got.shape == (size,)
+        small = masks.sum(axis=1) < p
+        assert np.array_equal(got[small], np.full(small.sum(), game.null_utility))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_single_mask_routes_through_kernel(self):
+        g = _toy_regression()
+        masks = np.zeros((3, 20), dtype=bool)
+        masks[1, :2] = True
+        masks[2, :] = True
+        got = [g.evaluate_mask(m) for m in masks]
+        assert got[:2] == [g.null_utility] * 2
+        assert got[2] == pytest.approx(_row_by_row(g, masks[2:])[0], rel=1e-12)
+        assert g.eval_counter == 3
+
+    def test_singular_grams_use_lstsq(self):
+        # lam = 0 and rows that repeat a few axis-aligned vectors: a coalition
+        # whose rows miss an axis has an exactly singular Gram matrix.
+        base = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1.0], [3.0, 0, 0]])
+        X = base[np.arange(12) % 4]
+        y = np.arange(12, dtype=float) % 5 - 2.0
+        rng = np.random.default_rng(3)
+        game = RegressionGame(X, y, rng.normal(size=(6, 3)), rng.normal(size=6), lam=0.0)
+        masks = _random_masks(12, 300, rng)
+        masks[1] = False
+        masks[1, [0, 1, 3, 4]] = True  # four rows, none on the third axis
+        assert np.linalg.matrix_rank(X[masks[1]]) == 2
+        got = game._values(masks)
+        assert np.array_equal(got, _row_by_row(game, masks))
+        assert got[1] == -np.mean(
+            (game.X_test @ np.linalg.lstsq(X[masks[1]], y[masks[1]], rcond=None)[0]
+             - game.y_test) ** 2)
+
+
+class TestDistinctKeyGames:
+    """Size-only and intersection games call their utility once per distinct
+    key and give the per-row loop's outputs bit for bit."""
+
+    def test_size_only(self):
+        calls = []
+
+        def utility(s):
+            calls.append(s)
+            return SIZE_UTILITIES["log1p"](s)
+
+        g = SizeOnlyGame(9, utility)
+        masks = _random_masks(9, 200, np.random.default_rng(0))
+        got = g._values(masks)
+        sizes = masks.sum(axis=1)
+        assert sorted(calls) == sorted(set(sizes.tolist()))
+        loop = np.array([SIZE_UTILITIES["log1p"](int(s)) for s in sizes], dtype=float)
+        assert np.array_equal(got, loop)
+        assert g._values(np.zeros((0, 9), dtype=bool)).shape == (0,)
+
+    def test_intersection_profile(self):
+        calls = []
+
+        def profile(s1, s):
+            calls.append((s1, s))
+            return math.sqrt(s1 + 1) / (s + 1)
+
+        g = IntersectionSizeGame(9, [1, 4, 7], profile)
+        masks = _random_masks(9, 200, np.random.default_rng(1))
+        got = g._values(masks)
+        keys = list(zip(masks[:, [1, 4, 7]].sum(axis=1).tolist(),
+                        masks.sum(axis=1).tolist()))
+        assert sorted(calls) == sorted(set(keys))
+        loop = np.array([math.sqrt(a + 1) / (b + 1) for a, b in keys], dtype=float)
+        assert np.array_equal(got, loop)
+        assert g._values(np.zeros((0, 9), dtype=bool)).shape == (0,)
 
 
 class TestLoadRegressionCsv:
