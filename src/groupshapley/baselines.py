@@ -1,20 +1,22 @@
 """Individual-Shapley-value estimators run under a shared evaluation budget.
 
 Each estimator returns the full value vector; group values are obtained by
-summation. Evaluation counts follow documented closed forms so budget
-accounting can be checked exactly.
+summation. Every estimator runs one schedule: fixed evaluations, then
+batches of equal-cost draws. Evaluation counts and minimum budgets are read
+off that schedule, so budget accounting can be checked exactly.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .games import Game
-from .metrics import ConvergenceCurve
+from .metrics import ConvergenceCurve, Recorder
 
 log = logging.getLogger(__name__)
 
@@ -31,13 +33,11 @@ class SvEstimate:
     values: np.ndarray
     evaluations_used: int
     curves: dict[int, ConvergenceCurve] | None = None
-    extras: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
         out = {
             "values": self.values.tolist(),
             "evaluations_used": self.evaluations_used,
-            "extras": self.extras,
         }
         if self.curves is not None:
             out["curves"] = {str(k): c.to_jsonable() for k, c in self.curves.items()}
@@ -53,27 +53,73 @@ def group_sum(estimate: SvEstimate, members) -> float:
     return float(estimate.values[members].sum()) if members else 0.0
 
 
-class _GroupRecorder:
-    """Checkpoints the group sums of a running value vector every
-    ``interval`` evaluations."""
+class _Schedule(NamedTuple):
+    """What one run spends: ``fixed`` evaluations before any draw, then
+    ``draws`` draws of ``cost`` evaluations each, ``batch`` draws at a time."""
 
-    def __init__(self, interval, groups):
-        self.active = interval is not None and groups is not None
-        self.interval = interval
-        self.groups = [np.asarray(list(g), dtype=np.intp) for g in groups] if groups else []
-        self.curves = {gid: ConvergenceCurve() for gid in range(len(self.groups))} \
-            if self.active else None
-        self._next = interval
+    fixed: int
+    cost: int
+    draws: int
+    batch: int
 
-    def update(self, evals: int, values_fn) -> None:
-        if not self.active or evals < self._next:
-            return
-        values = values_fn()
-        sums = [float(values[g].sum()) for g in self.groups]
-        while self._next <= evals:
-            for gid, s in enumerate(sums):
-                self.curves[gid].append(self._next, s)
-            self._next += self.interval
+    @property
+    def evaluations(self) -> int:
+        return self.fixed + self.cost * self.draws
+
+
+def _schedule(method: str, n: int, budget: int | None = None,
+              checkpoint_interval: int | None = None) -> _Schedule:
+    """The schedule of one run of ``method`` on ``n`` players under
+    ``budget``, or of its smallest run when ``budget`` is None.
+
+    The smallest run is one full ordering (permutation), one draw (group
+    testing, complement contribution, LeverageSHAP), n draws (both
+    KernelSHAPs) or no draw (one-for-all). One-for-all samples nothing when
+    n < 4: it has no interior size 2..n-2. Permutation sampling draws the
+    n+1 prefixes of one ordering per batch; the others draw
+    ``checkpoint_interval`` evaluations' worth per batch, by default 512 or
+    1024. Raises ValueError for an unknown method, for n < 2 where the
+    method needs two players, and for a budget below the smallest run.
+    """
+    if method not in BASELINE_ESTIMATORS:
+        raise ValueError(f"unknown method {method!r}")
+    min_n, fixed, cost, least, per_batch = {
+        "permutation": (1, 0, 1, n + 1, None),
+        "group_testing": (1, 0, 1, 1, 512),
+        "complement_contribution": (1, 0, 2, 1, 1024),
+        "one_for_all": (2, 2 * n + 2, 1, 0, 512),
+        "kernelshap": (2, 2, 1, n, 1024),
+        "unbiased_kernelshap": (2, 2, 1, n, 1024),
+        "leverageshap": (2, 2, 2, 1, 1024),
+    }[method]
+    if n < min_n:
+        raise ValueError(f"{method} needs n >= {min_n} players, got n={n}")
+    draws = least if budget is None else (budget - fixed) // cost
+    if draws < least:
+        raise ValueError(
+            f"budget {budget} below the minimum {fixed + cost * least} for {method}"
+        )
+    if method == "one_for_all" and n < 4:
+        draws = 0
+    batch = n + 1 if per_batch is None else max((checkpoint_interval or per_batch) // cost, 1)
+    return _Schedule(fixed, cost, draws, batch)
+
+
+def _run(schedule: _Schedule, draw, values, groups, checkpoint_interval,
+         final=None) -> SvEstimate:
+    """Runs ``draw(c)`` for each batch of c draws after the schedule's fixed
+    evaluations, and checkpoints the group sums of ``values()`` from the
+    fixed evaluations on. The estimate is ``final()``, by default
+    ``values()``."""
+    rec = Recorder(checkpoint_interval if groups is not None else None, groups)
+    rec.update(schedule.fixed, values)
+    done = 0
+    while done < schedule.draws:
+        c = min(schedule.batch, schedule.draws - done)
+        draw(c)
+        done += c
+        rec.update(schedule.fixed + schedule.cost * done, values)
+    return SvEstimate((final or values)(), schedule.evaluations, rec.curves)
 
 
 def _ranked_masks(rng: np.random.Generator, count: int, width: int, sizes) -> np.ndarray:
@@ -83,12 +129,19 @@ def _ranked_masks(rng: np.random.Generator, count: int, width: int, sizes) -> np
     return ranks < np.asarray(sizes)[:, None]
 
 
-def _chunks(total: int, size: int):
-    done = 0
-    while done < total:
-        step = min(size, total - done)
-        yield step
-        done += step
+def _add_to_strata(sums, counts, masks, strata, v) -> None:
+    """Adds v[t] to sums[i, strata[t]], and 1 to counts[i, strata[t]], for
+    every player i in row t of ``masks``."""
+    t, i = np.nonzero(masks)
+    np.add.at(sums, (i, strata[t]), v[t])
+    np.add.at(counts, (i, strata[t]), 1)
+
+
+def _stratum_means(sums, counts) -> np.ndarray:
+    """sums / counts, with 0 where a stratum was never hit."""
+    means = np.zeros_like(sums)
+    np.divide(sums, counts, out=means, where=counts > 0)
+    return means
 
 
 def permutation_estimator(
@@ -99,30 +152,22 @@ def permutation_estimator(
     full ordering costs n+1 evaluations (empty set plus n prefixes); the last
     ordering is truncated so exactly ``budget`` evaluations are spent."""
     n = game.n
-    _require_budget("permutation", n, budget)
+    schedule = _schedule("permutation", n, budget, checkpoint_interval)
     sums = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
-    rec = _GroupRecorder(checkpoint_interval, groups)
 
-    def values_fn():
-        out = np.zeros(n)
-        np.divide(sums, counts, out=out, where=counts > 0)
-        return out
-
-    evals = 0
-    while evals < budget:
+    def draw(c):
         perm = rng.permutation(n)
-        k = min(n + 1, budget - evals)  # evaluations spent on this ordering
         inv = np.empty(n, dtype=np.int64)
         inv[perm] = np.arange(n)
-        masks = np.arange(k)[:, None] > inv[None, :]
+        masks = np.arange(c)[:, None] > inv[None, :]
         u = game.evaluate_masks(masks)
-        players = perm[: k - 1]
+        players = perm[: c - 1]
         sums[players] += u[1:] - u[:-1]
         counts[players] += 1
-        evals += k
-        rec.update(evals, values_fn)
-    return SvEstimate(values_fn(), evals, rec.curves)
+
+    return _run(schedule, draw, lambda: _stratum_means(sums, counts),
+                groups, checkpoint_interval)
 
 
 def group_testing_estimator(
@@ -133,33 +178,29 @@ def group_testing_estimator(
     reference; one evaluation per sampled coalition. Values are the scaled
     differences between each player's utility column sum and the dummy's."""
     n = game.n
-    _require_budget("group_testing", n, budget)
+    schedule = _schedule("group_testing", n, budget, checkpoint_interval)
     sizes_support = np.arange(1, n + 1)
     q = 1.0 / sizes_support + 1.0 / (n - sizes_support + 1)
     Z = float(q.sum())
     p = q / Z
     colsums = np.zeros(n)
     dummysum = 0.0
-    rec = _GroupRecorder(checkpoint_interval, groups)
-    evals = 0
+    rows = 0
 
-    def values_fn():
-        return (Z / max(evals, 1)) * (colsums - dummysum)
-
-    chunk_size = checkpoint_interval or 512
-    for c in _chunks(budget, chunk_size):
+    def draw(c):
+        nonlocal colsums, dummysum, rows
         sizes = rng.choice(sizes_support, size=c, p=p)
         ext = _ranked_masks(rng, c, n + 1, sizes)
         real = ext[:, :n]
         u = game.evaluate_masks(real)
         colsums += real.T @ u
         dummysum += float(u[ext[:, n]].sum())
-        evals += c
-        rec.update(evals, values_fn)
-    return SvEstimate(
-        values_fn(), evals, rec.curves,
-        extras={"dummy_column_mean": dummysum / budget},
-    )
+        rows += c
+
+    def values():
+        return (Z / max(rows, 1)) * (colsums - dummysum)
+
+    return _run(schedule, draw, values, groups, checkpoint_interval)
 
 
 def complement_contribution_estimator(
@@ -170,36 +211,26 @@ def complement_contribution_estimator(
     evaluations and its utility difference feeds every player's stratum mean.
     Strata never hit contribute zero (logged)."""
     n = game.n
-    _require_budget("complement_contribution", n, budget)
-    pairs = budget // 2
+    schedule = _schedule("complement_contribution", n, budget, checkpoint_interval)
     sums = np.zeros((n, n + 1))
     counts = np.zeros((n, n + 1), dtype=np.int64)
-    rec = _GroupRecorder(checkpoint_interval, groups)
-    evals = 0
 
-    def values_fn():
-        means = np.zeros_like(sums)
-        np.divide(sums, counts, out=means, where=counts > 0)
-        return means[:, 1:].sum(axis=1) / n
-
-    chunk_size = max((checkpoint_interval or 1024) // 2, 1)
-    for c in _chunks(pairs, chunk_size):
+    def draw(c):
         sizes = rng.integers(1, n + 1, size=c)
         masks = _ranked_masks(rng, c, n, sizes)
         comp = ~masks
         v = game.evaluate_masks(masks) - game.evaluate_masks(comp)
-        t_in, i_in = np.nonzero(masks)
-        np.add.at(sums, (i_in, sizes[t_in]), v[t_in])
-        np.add.at(counts, (i_in, sizes[t_in]), 1)
-        t_out, i_out = np.nonzero(comp)
-        np.add.at(sums, (i_out, n - sizes[t_out]), -v[t_out])
-        np.add.at(counts, (i_out, n - sizes[t_out]), 1)
-        evals += 2 * c
-        rec.update(evals, values_fn)
+        _add_to_strata(sums, counts, masks, sizes, v)
+        _add_to_strata(sums, counts, comp, n - sizes, -v)
+
+    def values():
+        return _stratum_means(sums, counts)[:, 1:].sum(axis=1) / n
+
+    est = _run(schedule, draw, values, groups, checkpoint_interval)
     empty = int((counts[:, 1:] == 0).sum())
     if empty:
         log.debug("complement contribution: %d empty strata contribute 0", empty)
-    return SvEstimate(values_fn(), evals, rec.curves)
+    return est
 
 
 def one_for_all_estimator(
@@ -210,8 +241,7 @@ def one_for_all_estimator(
     size-weighted sampling of the interior sizes, with every sampled coalition
     feeding all players' in/out stratum means."""
     n = game.n
-    _require_budget("one_for_all", n, budget)
-    rec = _GroupRecorder(checkpoint_interval, groups)
+    schedule = _schedule("one_for_all", n, budget, checkpoint_interval)
 
     det_masks = np.zeros((2 * n + 2, n), dtype=bool)
     det_masks[1] = True  # full set
@@ -223,43 +253,30 @@ def one_for_all_estimator(
     u_loo = u[n + 2 :]
 
     det = (u_full - u_empty) + (u_single - u_loo)
-    if n >= 2:
-        det = det + (u_loo.sum() - u_loo) / (n - 1) - (u_single.sum() - u_single) / (n - 1)
+    det = det + (u_loo.sum() - u_loo) / (n - 1) - (u_single.sum() - u_single) / (n - 1)
     det = det / n
-    evals = 2 * n + 2
-    rec.update(evals, lambda: det)
 
     in_sums = np.zeros((n, n + 1))
     in_counts = np.zeros((n, n + 1), dtype=np.int64)
     out_sums = np.zeros((n, n + 1))
     out_counts = np.zeros((n, n + 1), dtype=np.int64)
-
-    def values_fn():
-        in_means = np.zeros_like(in_sums)
-        np.divide(in_sums, in_counts, out=in_means, where=in_counts > 0)
-        out_means = np.zeros_like(out_sums)
-        np.divide(out_sums, out_counts, out=out_means, where=out_counts > 0)
-        return det + (in_means - out_means).sum(axis=1) / n
-
     interior = np.arange(2, n - 1)
-    if len(interior) == 0:
-        return SvEstimate(det, evals, rec.curves)
     q = 1.0 / np.sqrt(interior * (n - interior))
     q = q / q.sum()
-    chunk_size = checkpoint_interval or 512
-    for c in _chunks(budget - evals, chunk_size):
+
+    def draw(c):
         sizes = rng.choice(interior, size=c, p=q)
         masks = _ranked_masks(rng, c, n, sizes)
         uu = game.evaluate_masks(masks)
-        t_in, i_in = np.nonzero(masks)
-        np.add.at(in_sums, (i_in, sizes[t_in]), uu[t_in])
-        np.add.at(in_counts, (i_in, sizes[t_in]), 1)
-        t_out, i_out = np.nonzero(~masks)
-        np.add.at(out_sums, (i_out, sizes[t_out]), uu[t_out])
-        np.add.at(out_counts, (i_out, sizes[t_out]), 1)
-        evals += c
-        rec.update(evals, values_fn)
-    return SvEstimate(values_fn(), evals, rec.curves)
+        _add_to_strata(in_sums, in_counts, masks, sizes, uu)
+        _add_to_strata(out_sums, out_counts, ~masks, sizes, uu)
+
+    def values():
+        in_means = _stratum_means(in_sums, in_counts)
+        out_means = _stratum_means(out_sums, out_counts)
+        return det + (in_means - out_means).sum(axis=1) / n
+
+    return _run(schedule, draw, values, groups, checkpoint_interval)
 
 
 def solve_constrained_ls(A: np.ndarray, b: np.ndarray, total: float) -> np.ndarray:
@@ -307,7 +324,7 @@ def _weighted_ls_estimator(
 ):
     """Shared engine for the three regression-based estimators."""
     n = game.n
-    _require_budget(method, n, budget)
+    schedule = _schedule(method, n, budget, checkpoint_interval)
     u_full = game.evaluate(range(n))
     u_empty = game.evaluate([])
     total = u_full - u_empty
@@ -316,25 +333,11 @@ def _weighted_ls_estimator(
 
     A_acc = np.zeros((n, n))
     b_acc = np.zeros(n)
-    rec = _GroupRecorder(checkpoint_interval, groups)
-    evals = 2
+    A_fixed = None if empirical_gram else closed_form_gram(n)
     draws = 0
 
-    if not empirical_gram:
-        A_fixed = closed_form_gram(n)
-
-    def values_fn():
-        d = max(draws, 1)
-        A_hat = A_acc / (2 * d if paired else d) if empirical_gram else A_fixed
-        b_hat = b_acc / (2 * d if paired else d)
-        try:
-            return solve_constrained_ls(A_hat, b_hat, total)
-        except NumericError:
-            return np.zeros(n)
-
-    n_draws = (budget - 2) // 2 if paired else budget - 2
-    chunk_size = max((checkpoint_interval or 1024) // (2 if paired else 1), 1)
-    for c in _chunks(n_draws, chunk_size):
+    def draw(c):
+        nonlocal A_acc, b_acc, draws
         sizes = rng.choice(sizes_support, size=c, p=probs)
         masks = _ranked_masks(rng, c, n, sizes)
         w = weight_fn(sizes)
@@ -345,20 +348,31 @@ def _weighted_ls_estimator(
             if empirical_gram:
                 A_acc += masks.T @ (masks * w[:, None]) + comp.T @ (comp * w[:, None])
             b_acc += masks.T @ (w * (u1 - u_empty)) + comp.T @ (w * (u2 - u_empty))
-            evals += 2 * c
         else:
             if empirical_gram:
                 A_acc += masks.T @ (masks * w[:, None])
             b_acc += masks.T @ (w * (u1 - u_empty))
-            evals += c
         draws += c
-        rec.update(evals, values_fn)
 
-    d = max(draws, 1)
-    A_hat = A_acc / (2 * d if paired else d) if empirical_gram else A_fixed
-    b_hat = b_acc / (2 * d if paired else d)
-    values = solve_constrained_ls(A_hat, b_hat, total)
-    return SvEstimate(values, evals, rec.curves)
+    def solve():
+        rows = schedule.cost * max(draws, 1)
+        A_hat = A_acc / rows if empirical_gram else A_fixed
+        return solve_constrained_ls(A_hat, b_acc / rows, total)
+
+    def values():
+        try:
+            return solve()
+        except NumericError:
+            return np.zeros(n)
+
+    return _run(schedule, draw, values, groups, checkpoint_interval, final=solve)
+
+
+def _kernel_size_probs(n, sizes):
+    """Sizes drawn in proportion to the Shapley kernel weight; unit row
+    weights."""
+    q = 1.0 / (sizes * (n - sizes))
+    return q / q.sum(), lambda s: np.ones(len(s))
 
 
 def kernelshap_estimator(
@@ -368,14 +382,9 @@ def kernelshap_estimator(
     """Weighted-least-squares characterization of Shapley values with an
     empirical gram matrix; coalition sizes drawn proportional to the
     Shapley kernel weights."""
-
-    def probs(n, sizes):
-        q = 1.0 / (sizes * (n - sizes))
-        return q / q.sum(), lambda s: np.ones(len(s))
-
     return _weighted_ls_estimator(
         "kernelshap", game, budget, rng, groups, checkpoint_interval,
-        probs, paired=False, empirical_gram=True,
+        _kernel_size_probs, paired=False, empirical_gram=True,
     )
 
 
@@ -385,14 +394,9 @@ def unbiased_kernelshap_estimator(
 ) -> SvEstimate:
     """Kernel-weighted least squares with the gram matrix replaced by its
     closed-form expectation."""
-
-    def probs(n, sizes):
-        q = 1.0 / (sizes * (n - sizes))
-        return q / q.sum(), lambda s: np.ones(len(s))
-
     return _weighted_ls_estimator(
         "unbiased_kernelshap", game, budget, rng, groups, checkpoint_interval,
-        probs, paired=False, empirical_gram=False,
+        _kernel_size_probs, paired=False, empirical_gram=False,
     )
 
 
@@ -427,43 +431,12 @@ BASELINE_ESTIMATORS = {
 
 
 def min_baseline_budget(method: str, n: int) -> int:
-    """Smallest budget each estimator accepts: one full ordering
-    (permutation), one coalition (group testing), one coalition pair
-    (complement contribution), the deterministic block of sizes 0, 1, n-1
-    and n (one-for-all), the two endpoints plus n draws (both KernelSHAPs),
-    or the two endpoints plus one coalition pair (LeverageSHAP)."""
-    minima = {
-        "permutation": n + 1,
-        "group_testing": 1,
-        "complement_contribution": 2,
-        "one_for_all": 2 * n + 2,
-        "kernelshap": n + 2,
-        "unbiased_kernelshap": n + 2,
-        "leverageshap": 4,
-    }
-    if method not in minima:
-        raise ValueError(f"unknown method {method!r}")
-    return minima[method]
-
-
-def _require_budget(method: str, n: int, budget: int) -> None:
-    need = min_baseline_budget(method, n)
-    if budget < need:
-        raise ValueError(f"budget {budget} below the minimum {need} for {method}")
+    """Smallest budget the estimator accepts: the evaluations of its
+    smallest run, read off its schedule."""
+    return _schedule(method, n).evaluations
 
 
 def predicted_baseline_evaluations(method: str, n: int, budget: int) -> int:
-    """Closed-form evaluation counts matching each estimator's consumption."""
-    if method == "permutation":
-        return budget
-    if method == "group_testing":
-        return budget
-    if method == "complement_contribution":
-        return 2 * (budget // 2)
-    if method == "one_for_all":
-        return budget if n >= 4 else 2 * n + 2
-    if method in ("kernelshap", "unbiased_kernelshap"):
-        return budget
-    if method == "leverageshap":
-        return 2 + 2 * ((budget - 2) // 2)
-    raise ValueError(f"unknown method {method!r}")
+    """Evaluations the estimator spends under ``budget``, read off its
+    schedule."""
+    return _schedule(method, n, budget).evaluations

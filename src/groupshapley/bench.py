@@ -44,12 +44,22 @@ class ConfigError(ValueError):
 
 
 def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
     missing = required - set(d)
     if missing:
         raise ConfigError(f"{where}: missing fields {sorted(missing)}")
+
+
+def _require_int(value, where: str, minimum: int) -> int:
+    """Returns ``value`` if it is an integer >= ``minimum``. Anything else,
+    a bool, a float or a string included, raises :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _check_schema_version(cfg: dict, where: str) -> None:
@@ -95,8 +105,8 @@ def partition_from_spec(spec: dict, n: int, where: str = "groups") -> Partition:
         _require_keys(spec, {"rule", "k"}, {"rule", "k"}, where)
         if spec["rule"] != "mod":
             raise ConfigError(f"{where}: unknown rule {spec['rule']!r}")
-        k = int(spec["k"])
-        if not (1 <= k <= n):
+        k = _require_int(spec["k"], f"{where}: k", 1)
+        if k > n:
             raise ConfigError(f"{where}: k must be in 1..{n}")
         return mod_partition(n, k)
     _require_keys(spec, {"explicit"}, {"explicit"}, where)
@@ -114,9 +124,7 @@ KNOWN_METHODS = set(BASELINE_ESTIMATORS) | {"fgsv"}
 
 def _check_fgsv_values(method: dict) -> None:
     for key in ("size_threshold", "grid_samples", "pair_samples"):
-        v = method.get(key, 1)
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ConfigError(f"methods[fgsv]: {key} must be an integer >= 1, got {v!r}")
+        _require_int(method.get(key, 1), f"methods[fgsv]: {key}", 1)
     if not isinstance(method.get("exhaustive", False), bool):
         raise ConfigError(
             f"methods[fgsv]: exhaustive must be true or false, got {method['exhaustive']!r}"
@@ -158,12 +166,6 @@ class BenchConfig:
             _require_keys(m, allowed_keys, {"name"}, f"methods[{m['name']}]")
             if m["name"] == "fgsv":
                 _check_fgsv_values(m)
-        budget = int(cfg["budget"])
-        if budget < 1:
-            raise ConfigError("budget must be positive")
-        reps = int(cfg["replications"])
-        if reps < 1:
-            raise ConfigError("replications must be positive")
         truth = cfg.get("truth", {"source": "auto"})
         _require_keys(truth, {"source", "reference_budget"}, {"source"}, "truth")
         if truth["source"] not in ("auto", "closed_form", "exact", "reference"):
@@ -172,10 +174,11 @@ class BenchConfig:
             game_spec=cfg["game"],
             groups_spec=cfg["groups"],
             methods=methods,
-            budget=budget,
-            replications=reps,
-            checkpoint_interval=int(cfg.get("checkpoint_interval", 200)),
-            seed=int(cfg.get("seed", 0)),
+            budget=_require_int(cfg["budget"], "budget", 1),
+            replications=_require_int(cfg["replications"], "replications", 1),
+            checkpoint_interval=_require_int(
+                cfg.get("checkpoint_interval", 200), "checkpoint_interval", 1),
+            seed=_require_int(cfg.get("seed", 0), "seed", 0),
             truth=truth,
         )
 
@@ -236,12 +239,12 @@ def compute_truth(config: BenchConfig, game: Game, partition: Partition):
     elif source == "reference":
         if "reference_budget" not in config.truth:
             raise ConfigError("truth.source=reference needs truth.reference_budget")
-        ref_budget = int(config.truth["reference_budget"])
         ref_game = game.counting_view()
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(0xFEED,))
         )
-        sv = baselines.permutation_estimator(ref_game, ref_budget, rng).values
+        sv = baselines.permutation_estimator(
+            ref_game, config.truth["reference_budget"], rng).values
     else:
         raise ConfigError(f"unknown truth source {source!r}")
     truths = [float(sv[list(g)].sum()) for g in partition.groups]
@@ -414,10 +417,18 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
 
 
 def _validate_budgets(config: BenchConfig, n: int, num_groups: int) -> None:
+    """Checks the budget against each method's minimum on n players, and the
+    reference-truth budget against the permutation estimator's."""
     for m in config.methods:
         name = m["name"]
-        need = 3 * num_groups if name == "fgsv" else baselines.min_baseline_budget(name, n)
+        try:
+            need = 3 * num_groups if name == "fgsv" else baselines.min_baseline_budget(name, n)
+        except ValueError as exc:
+            raise ConfigError(f"methods[{name}]: {exc}") from exc
         if config.budget < need:
             raise ConfigError(
                 f"budget {config.budget} below minimum {need} for {name}"
             )
+    if "reference_budget" in config.truth:
+        _require_int(config.truth["reference_budget"], "truth: reference_budget",
+                     baselines.min_baseline_budget("permutation", n))

@@ -27,6 +27,7 @@ from .bench import (
     THREADS_ENV_VAR,
     _check_schema_version,
     _fmt,
+    _require_int,
     _require_keys,
     build_game,
     load_config,
@@ -54,7 +55,7 @@ EXIT_NUMERIC = 3
 def _cmd_bench(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
     bench_cfg = BenchConfig.from_dict(cfg)
     if seed is not None:
-        bench_cfg.seed = seed
+        bench_cfg.seed = _require_int(seed, "--seed", 0)
     info = run_benchmark(bench_cfg, out_dir, threads=threads)
     log.info("wrote %s and %s (truth: %s)",
              info["results_csv"], info["summary_csv"], info["truth_source"])
@@ -75,9 +76,7 @@ def _attack_partition(cfg: dict):
         sizes = cfg.get("group_sizes")
         if not isinstance(sizes, list) or not sizes:
             raise ConfigError("attack with 'ubar' needs non-empty 'group_sizes'")
-        sizes = [int(s) for s in sizes]
-        if any(s < 1 for s in sizes):
-            raise ConfigError("group sizes must be >= 1")
+        sizes = [_require_int(s, "group_sizes", 1) for s in sizes]
         groups, pos = [], 0
         for s in sizes:
             groups.append(list(range(pos, pos + s)))
@@ -94,8 +93,8 @@ def _cmd_attack(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
                "target_group", "pieces"}
     _require_keys(cfg, allowed, {"schema_version", "target_group", "pieces"}, "config")
     source, partition = _attack_partition(cfg)
-    target = int(cfg["target_group"])
-    if not (0 <= target < len(partition)):
+    target = _require_int(cfg["target_group"], "target_group", 0)
+    if target >= len(partition):
         raise ConfigError("target_group out of range")
     pieces = cfg["pieces"]
     if not isinstance(pieces, list) or not pieces:
@@ -103,8 +102,7 @@ def _cmd_attack(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
     group_size = len(partition.groups[target])
     schedules = []
     for p in pieces:
-        p = int(p)
-        if p < 2 or p > group_size:
+        if _require_int(p, "pieces", 2) > group_size:
             raise ConfigError(
                 f"cannot split a group of {group_size} into {p} pieces"
             )

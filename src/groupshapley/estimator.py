@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,15 +62,6 @@ class GroupValueEstimate:
     evaluations_used: int
     curve: ConvergenceCurve
     std_error: float = 0.0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "value": self.value,
-            "per_size_terms": self.per_size_terms.tolist(),
-            "evaluations_used": self.evaluations_used,
-            "std_error": self.std_error,
-            "curve": self.curve.to_jsonable(),
-        }
 
 
 def _size_plan(n: int, s0: int, size_threshold: int):

@@ -42,19 +42,36 @@ class Recorder:
     """Appends a checkpoint to a curve every ``interval`` evaluations.
 
     ``update(evals, estimate)`` emits one checkpoint per interval multiple
-    crossed since the last call, all carrying the current estimate.
+    crossed since the last call, all carrying the current estimate. With
+    ``groups``, the recorder keeps one curve per group in ``curves`` instead
+    of ``curve``: ``estimate`` is then a callable returning the value vector,
+    called only when a checkpoint is due, and each group's curve records the
+    sum of its members' values. An interval of None records nothing.
     """
 
-    def __init__(self, interval: int | None):
+    def __init__(self, interval: int | None, groups=None):
+        if interval is not None and interval < 1:
+            raise ValueError(f"checkpoint interval must be >= 1, got {interval}")
         self.interval = interval
         self.curve = ConvergenceCurve()
+        self.groups = None if groups is None else \
+            [np.asarray(list(g), dtype=np.intp) for g in groups]
+        self.curves = None if self.groups is None or interval is None else \
+            {gid: ConvergenceCurve() for gid in range(len(self.groups))}
         self._next = interval
 
-    def update(self, evals: int, estimate: float) -> None:
-        if self.interval is None:
+    def update(self, evals: int, estimate) -> None:
+        if self.interval is None or evals < self._next:
             return
+        if self.curves is None:
+            points = [(self.curve, estimate)]
+        else:
+            values = estimate()
+            points = [(self.curves[gid], float(values[g].sum()))
+                      for gid, g in enumerate(self.groups)]
         while self._next <= evals:
-            self.curve.append(self._next, estimate)
+            for curve, value in points:
+                curve.append(self._next, value)
             self._next += self.interval
 
 

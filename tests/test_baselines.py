@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupshapley.baselines import (
     BASELINE_ESTIMATORS,
@@ -20,7 +21,7 @@ from groupshapley.baselines import (
     unbiased_kernelshap_estimator,
 )
 from groupshapley.exact import exact_shapley_values
-from groupshapley.games import SOUGame, SizeOnlyGame, sou_generate
+from groupshapley.games import SIZE_UTILITIES, SOUGame, SizeOnlyGame, sou_generate
 
 
 class AdditiveGame(SizeOnlyGame):
@@ -318,19 +319,25 @@ class TestConstrainedSolve:
 
 
 class TestBudgetHonesty:
-    def test_random_configs(self):
-        rng = np.random.default_rng(2025)
-        for _ in range(40):
-            n = int(rng.integers(4, 11))
-            g = sou_generate(n, n, int(rng.integers(10**6)))
-            for name, fn in BASELINE_ESTIMATORS.items():
-                lo = min_baseline_budget(name, n)
-                budget = int(rng.integers(lo, lo + 400))
-                est = fn(g, budget, np.random.default_rng(0))
-                assert est.evaluations_used == \
-                    predicted_baseline_evaluations(name, n, budget), \
-                    (name, n, budget)
-                assert est.evaluations_used <= budget
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 12), name=st.sampled_from(sorted(BASELINE_ESTIMATORS)),
+           extra=st.integers(0, 400), interval=st.none() | st.integers(1, 50),
+           k=st.none() | st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_random_configs(self, n, name, extra, interval, k, seed):
+        g = sou_generate(n, n, seed)
+        budget = min_baseline_budget(name, n) + extra
+        groups = None if k is None else [list(range(i, n, k)) for i in range(min(k, n))]
+        est = BASELINE_ESTIMATORS[name](g, budget, np.random.default_rng(seed),
+                                        groups=groups, checkpoint_interval=interval)
+        used = est.evaluations_used
+        assert used == predicted_baseline_evaluations(name, n, budget) == g.eval_counter
+        assert used <= budget
+        if interval is None or groups is None:
+            assert est.curves is None
+        else:
+            assert set(est.curves) == set(range(len(groups)))
+            for curve in est.curves.values():
+                assert list(curve.evaluations()) == list(range(interval, used + 1, interval))
 
     @pytest.mark.parametrize("name", sorted(BASELINE_ESTIMATORS))
     def test_minimum_budget_is_the_estimators_own(self, name):
@@ -341,6 +348,26 @@ class TestBudgetHonesty:
             fn(g, need - 1, np.random.default_rng(0))
         est = fn(g, need, np.random.default_rng(0))
         assert est.evaluations_used == predicted_baseline_evaluations(name, 6, need)
+
+
+class TestOnePlayer:
+    """At n = 1 the methods that need two players refuse to run."""
+
+    @pytest.mark.parametrize("name", sorted(BASELINE_ESTIMATORS))
+    def test_one_player(self, name):
+        g = SizeOnlyGame(1, SIZE_UTILITIES["linear"])
+        fn = BASELINE_ESTIMATORS[name]
+        if name in ("permutation", "group_testing", "complement_contribution"):
+            est = fn(g, 20, np.random.default_rng(0))
+            assert est.evaluations_used == predicted_baseline_evaluations(name, 1, 20)
+            if name != "group_testing":
+                assert est.values == pytest.approx([1.0])
+            return
+        with pytest.raises(ValueError, match="n >= 2"):
+            fn(g, 20, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n >= 2"):
+            min_baseline_budget(name, 1)
+        assert g.eval_counter == 0
 
 
 class TestDeterminismAndCurves:

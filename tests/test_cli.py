@@ -279,6 +279,69 @@ class TestBenchCommand:
             assert int(r["evals"]) == want
 
 
+class TestIntegerFields:
+    """Integer config fields and seeds must be integers at or above their
+    minimum, and config sections must be objects; anything else is a config
+    error (exit 2), never truncated."""
+
+    ATTACK = {"schema_version": 1, "ubar": "saturating2", "group_sizes": [2, 6],
+              "target_group": 1, "pieces": [2, 3]}
+
+    @pytest.mark.parametrize("command,override,args", [
+        ("bench", {"budget": "abc"}, []),
+        ("bench", {"budget": 200.7}, []),
+        ("bench", {"replications": "x"}, []),
+        ("bench", {"checkpoint_interval": 0}, []),
+        ("bench", {"checkpoint_interval": -5}, []),
+        ("bench", {"checkpoint_interval": "x"}, []),
+        ("bench", {"seed": -3}, []),
+        ("bench", {}, ["--seed", "-1"]),
+        ("bench", {"groups": {"rule": "mod", "k": "x"}}, []),
+        ("bench", {"truth": {"source": "reference", "reference_budget": "x"}}, []),
+        ("bench", {"truth": {"source": "reference", "reference_budget": 0}}, []),
+        ("bench", {"truth": {"source": "reference", "reference_budget": 8}}, []),
+        ("bench", {"truth": 5}, []),
+        ("attack", {"target_group": "x"}, []),
+        ("attack", {"target_group": 1.9}, []),
+        ("attack", {"pieces": ["x"]}, []),
+        ("attack", {"group_sizes": ["a"]}, []),
+    ])
+    def test_exit_code(self, tmp_path, capsys, monkeypatch, command, override, args):
+        def no_cells(*a, **k):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_run_cell", no_cells)
+        payload = {**(bench_payload() if command == "bench" else self.ATTACK), **override}
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"), *args])
+        assert rc == 2
+        key = args[0] if args else next(iter(override))
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err, err
+
+
+class TestOnePlayerBench:
+    @pytest.mark.parametrize("name", sorted(BASELINE_ESTIMATORS))
+    def test_exit_code(self, tmp_path, capsys, name):
+        payload = bench_payload(
+            game={"type": "size_only", "n": 1, "name": "linear"},
+            groups={"rule": "mod", "k": 1}, methods=[{"name": name}],
+            budget=20, replications=1, checkpoint_interval=5,
+        )
+        out = tmp_path / "out"
+        rc = cli.main(["bench", "--config", write_config(tmp_path, "cfg.json", payload),
+                       "--out", str(out)])
+        if name in ("one_for_all", "kernelshap", "unbiased_kernelshap", "leverageshap"):
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: methods[{name}]: {name} needs n >= 2")
+            return
+        assert rc == 0
+        with open(out / "results.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["truth"]) == 1.0
+
+
 class TestBadRegressionCsv:
     """A regression CSV that cannot be read or parsed is a config error
     (exit 2) in every subcommand that builds a game."""

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from groupshapley.games import (
     Game,
@@ -404,7 +404,10 @@ class TestRegressionKernel:
     """The batched Gram-and-solve kernel against the per-row fit it replaced."""
 
     @pytest.mark.parametrize("batch", ["zero", "one", "below", "at", "above"])
-    @settings(max_examples=3, deadline=None)
+    # No shrinking: each example evaluates up to a few thousand masks row by
+    # row, so shrinking a failure would take minutes.
+    @settings(max_examples=3, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
     @given(n=st.integers(1, 12), p=st.integers(1, 4), lam=st.sampled_from([0.1, 1.0]),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_row_by_row(self, batch, n, p, lam, seed):

@@ -49,6 +49,28 @@ class TestRecorder:
         rec.update(100, 1.0)
         assert len(rec.curve) == 0
 
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_interval_below_one(self, interval):
+        with pytest.raises(ValueError, match="interval"):
+            Recorder(interval)
+
+    def test_group_sums_only_when_due(self):
+        calls = []
+
+        def values():
+            calls.append(1)
+            return np.array([1.0, 2.0, 4.0])
+
+        rec = Recorder(10, groups=[(0, 2), (1,)])
+        rec.update(9, values)
+        assert calls == [] and rec.curves[0].evaluations().size == 0
+        rec.update(25, values)
+        assert len(calls) == 1
+        assert list(rec.curves[0].evaluations()) == [10, 20]
+        assert list(rec.curves[0].estimates()) == [5.0, 5.0]
+        assert list(rec.curves[1].estimates()) == [2.0, 2.0]
+        assert Recorder(None, groups=[(0,)]).curves is None
+
 
 class TestAucc:
     def test_perfect_curve(self):
