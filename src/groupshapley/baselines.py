@@ -79,10 +79,13 @@ def _schedule(method: str, n: int, budget: int | None = None,
     n+1 prefixes of one ordering per batch; the others draw
     ``checkpoint_interval`` evaluations' worth per batch, by default 512 or
     1024. Raises ValueError for an unknown method, for n < 2 where the
-    method needs two players, and for a budget below the smallest run.
+    method needs two players, for a budget below the smallest run and for a
+    checkpoint interval below 1.
     """
     if method not in BASELINE_ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
+    if checkpoint_interval is not None and checkpoint_interval < 1:
+        raise ValueError(f"checkpoint interval must be >= 1, got {checkpoint_interval}")
     min_n, fixed, cost, least, per_batch = {
         "permutation": (1, 0, 1, n + 1, None),
         "group_testing": (1, 0, 1, 1, 512),

@@ -417,7 +417,8 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
 
 
 def _validate_budgets(config: BenchConfig, n: int, num_groups: int) -> None:
-    """Checks the budget against each method's minimum on n players, and the
+    """Checks the budget against each method's minimum on n players, each
+    baseline's evaluations against the checkpoint interval, and the
     reference-truth budget against the permutation estimator's."""
     for m in config.methods:
         name = m["name"]
@@ -429,6 +430,13 @@ def _validate_budgets(config: BenchConfig, n: int, num_groups: int) -> None:
             raise ConfigError(
                 f"budget {config.budget} below minimum {need} for {name}"
             )
+    # A baseline spending fewer evaluations than checkpoint_interval records
+    # no checkpoint, so its AUCC is undefined; fgsv derives its own interval.
+    for name in [m["name"] for m in config.methods if m["name"] != "fgsv"]:
+        used = baselines.predicted_baseline_evaluations(name, n, config.budget)
+        if used < config.checkpoint_interval:
+            raise ConfigError(f"budget {config.budget} gives {name} {used} evaluations, "
+                              f"below checkpoint_interval {config.checkpoint_interval}")
     if "reference_budget" in config.truth:
         _require_int(config.truth["reference_budget"], "truth: reference_budget",
                      baselines.min_baseline_budget("permutation", n))

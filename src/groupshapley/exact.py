@@ -99,11 +99,9 @@ def exact_group_shapley(game: Game, partition: Partition, k: int) -> float:
     for j, g in enumerate(others):
         other_masks[j, list(g)] = True
 
-    union_masks = np.zeros((1 << K, n), dtype=bool)
-    for bits in range(1 << K):
-        for j in range(K):
-            if (bits >> j) & 1:
-                union_masks[bits] |= other_masks[j]
+    # Row `bits` is the union of the groups whose bits are set: a boolean
+    # matmul ORs the selected rows of other_masks.
+    union_masks = _all_masks(K) @ other_masks
     with_target = union_masks | target
     u_without = game.evaluate_masks(union_masks)
     u_with = game.evaluate_masks(with_target)
@@ -127,16 +125,20 @@ def exact_faithful_group_shapley(game: Game, members, cap: int = DEFAULT_CAP) ->
     return float(sv[members].sum())
 
 
+def _combination_masks(n: int, pool: np.ndarray, k: int) -> np.ndarray:
+    """One row per k-subset of ``pool``, in ``itertools.combinations`` order."""
+    idx = np.array(list(itertools.combinations(pool.tolist(), k)), dtype=np.intp)
+    masks = np.zeros((len(idx), n), dtype=bool)
+    np.put_along_axis(masks, idx.reshape(len(idx), k), True, axis=1)
+    return masks
+
+
 def _family_masks(n: int, members: np.ndarray, s: int, s1: int) -> np.ndarray:
-    comp = np.setdiff1d(np.arange(n), members)
-    masks = []
-    for inside in itertools.combinations(members.tolist(), s1):
-        for outside in itertools.combinations(comp.tolist(), s - s1):
-            m = np.zeros(n, dtype=bool)
-            m[list(inside)] = True
-            m[list(outside)] = True
-            masks.append(m)
-    return np.array(masks, dtype=bool)
+    """Every subset of size s meeting ``members`` in s1 points; the member
+    part varies slowest."""
+    inside = _combination_masks(n, members, s1)
+    outside = _combination_masks(n, np.setdiff1d(np.arange(n), members), s - s1)
+    return (inside[:, None, :] | outside[None, :, :]).reshape(-1, n)
 
 
 def exact_mean_utility(game: Game, members, s: int, s1: int) -> float:
@@ -243,15 +245,20 @@ def gsv_valuation(game: Game, partition: Partition, k: int) -> float:
 
 
 class _MaskTransformGame(Game):
-    """Applies a fixed mask transform before delegating to the base utility."""
+    """Applies a fixed transform to a (batch, n) mask array before delegating
+    to the base utility."""
 
     def __init__(self, base: Game, transform):
         super().__init__(base.n)
         self.base = base
         self.transform = transform
 
-    def _value(self, mask: np.ndarray) -> float:
-        return self.base._value(self.transform(mask))
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        return self.base._values(self.transform(masks))
+
+
+def _reverse_players(masks: np.ndarray) -> np.ndarray:
+    return masks[:, ::-1]
 
 
 class _ComboGame(Game):
@@ -261,8 +268,8 @@ class _ComboGame(Game):
         super().__init__(parts[0][1].n)
         self.parts = parts
 
-    def _value(self, mask: np.ndarray) -> float:
-        return sum(a * g._value(mask) for a, g in self.parts)
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        return sum(a * g._values(masks) for a, g in self.parts)
 
 
 class _SymmetricPairGame(Game):
@@ -276,10 +283,9 @@ class _SymmetricPairGame(Game):
         self.pair[list(g1)] = True
         self.pair[list(g2)] = True
 
-    def _value(self, mask: np.ndarray) -> float:
-        t = int((mask & self.pair).sum())
-        outside = mask & ~self.pair
-        return 0.1 * t * t + t + self.base._value(outside)
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        t = (masks & self.pair).sum(axis=1)
+        return 0.1 * t * t + t + self.base._values(masks & ~self.pair)
 
 
 def check_axioms(
@@ -331,7 +337,7 @@ def check_axioms(
 
     # Linearity: valuation of a1*U1 + a2*U2 equals the combination.
     if second_game is None:
-        second_game = _MaskTransformGame(game, lambda m: m[::-1].copy())
+        second_game = _MaskTransformGame(game, _reverse_players)
     a1, a2 = 0.7, -1.3
     combo = _ComboGame([(a1, game), (a2, second_game)])
     max_dev = 0.0

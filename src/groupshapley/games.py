@@ -23,8 +23,9 @@ class UnsupportedGameError(TypeError):
 class Game:
     """Base class: pure utility over index subsets plus an evaluation counter.
 
-    Subclasses implement ``_value(mask)`` for a boolean membership vector and
-    may override ``_values(masks)`` with a vectorized version.
+    Subclasses implement ``_values(masks)``, the utility of each row of a
+    boolean (batch, n) membership matrix. A single evaluation is a one-row
+    batch.
     """
 
     def __init__(self, n: int):
@@ -59,16 +60,17 @@ class Game:
         return mask
 
     def evaluate(self, S: Iterable[int]) -> float:
-        mask = self.mask_from_indices(S)
-        self._count(1)
-        return float(self._value(mask))
+        return self._evaluate_one(self.mask_from_indices(S))
 
     def evaluate_mask(self, mask: np.ndarray) -> float:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self._n,):
             raise ValueError(f"mask must have shape ({self._n},), got {mask.shape}")
+        return self._evaluate_one(mask)
+
+    def _evaluate_one(self, mask: np.ndarray) -> float:
         self._count(1)
-        return float(self._value(mask))
+        return float(self._values(mask[None, :])[0])
 
     def evaluate_masks(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=bool)
@@ -88,11 +90,8 @@ class Game:
         view._lock = threading.Lock()
         return view
 
-    def _value(self, mask: np.ndarray) -> float:
-        raise NotImplementedError
-
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        return np.array([self._value(m) for m in masks], dtype=float)
+        raise NotImplementedError
 
     # Optional capability: evaluate with ``pad`` synthetic items appended,
     # drawn by ``null_sampler(rng, pad)`` where the game uses item data.
@@ -147,14 +146,8 @@ class SOUGame(Game):
         member = np.zeros((len(self.subsets), n), dtype=bool)
         for j, a in enumerate(self.subsets):
             member[j, a] = True
-        self._member = member.astype(np.float64)
-        self._sizes = member.sum(axis=1).astype(np.float64)
         self._bits = _pack_masks(member)  # (words, subsets)
         self._seed = None  # set by sou_generate for serialization
-
-    def _value(self, mask: np.ndarray) -> float:
-        hits = self._member @ mask.astype(np.float64)
-        return float(self.coefficients[hits == self._sizes].sum())
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         # A subset is contained when each of its words survives the AND with
@@ -218,9 +211,6 @@ class SizeOnlyGame(Game):
         self.size_utility = size_utility
         self.name = name
 
-    def _value(self, mask: np.ndarray) -> float:
-        return float(self.size_utility(int(mask.sum())))
-
     def _values(self, masks: np.ndarray) -> np.ndarray:
         sizes, inverse = np.unique(masks.sum(axis=1), return_inverse=True)
         return np.array([self.size_utility(int(s)) for s in sizes], dtype=float)[inverse]
@@ -250,11 +240,6 @@ class IntersectionSizeGame(Game):
         self.profile = profile
         self._member_mask = np.zeros(n, dtype=bool)
         self._member_mask[self.members] = True
-
-    def _value(self, mask: np.ndarray) -> float:
-        s = int(mask.sum())
-        s1 = int((mask & self._member_mask).sum())
-        return float(self.profile(s1, s))
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         sizes = masks.sum(axis=1)
@@ -324,9 +309,6 @@ class RegressionGame(Game):
             beta = np.linalg.lstsq(X, y, rcond=None)[0]
         resid = self.X_test @ beta - self.y_test
         return -float(np.mean(resid**2))
-
-    def _value(self, mask: np.ndarray) -> float:
-        return self._values(mask[None, :])[0]
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         # One Gram matmul and one batched solve per block of coalitions. A
@@ -406,9 +388,6 @@ class NullAugmentedGame(Game):
         view = copy.copy(self)
         view.base = self.base.counting_view()
         return view
-
-    def _value(self, mask: np.ndarray) -> float:
-        return self._values(mask[None, :])[0]
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         # Rows at or above the threshold go to the base kernel as one batch.

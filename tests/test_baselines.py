@@ -31,9 +31,6 @@ class AdditiveGame(SizeOnlyGame):
         self.contributions = np.asarray(contributions, dtype=float)
         super(SizeOnlyGame, self).__init__(len(self.contributions))
 
-    def _value(self, mask):
-        return float(self.contributions[mask].sum())
-
     def _values(self, masks):
         return masks @ self.contributions
 
@@ -348,6 +345,19 @@ class TestBudgetHonesty:
             fn(g, need - 1, np.random.default_rng(0))
         est = fn(g, need, np.random.default_rng(0))
         assert est.evaluations_used == predicted_baseline_evaluations(name, 6, need)
+
+
+class TestCheckpointInterval:
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("interval", [0, -5])
+    @pytest.mark.parametrize("name", sorted(BASELINE_ESTIMATORS))
+    def test_interval_below_one(self, name, interval, grouped):
+        g = sou_generate(6, 10, 1)
+        groups = [[0, 1, 2], [3, 4, 5]] if grouped else None
+        with pytest.raises(ValueError, match="checkpoint interval must be >= 1"):
+            BASELINE_ESTIMATORS[name](g, 100, np.random.default_rng(0),
+                                      groups=groups, checkpoint_interval=interval)
+        assert g.eval_counter == 0
 
 
 class TestOnePlayer:

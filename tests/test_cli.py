@@ -84,6 +84,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="minimum"):
             run_benchmark(cfg, tmp_path / "out")
 
+    def test_budget_below_interval_allowed_for_fgsv_alone(self, tmp_path):
+        cfg = BenchConfig.from_dict(bench_payload(
+            methods=[{"name": "fgsv", "size_threshold": 4}], budget=150,
+            replications=1))
+        info = run_benchmark(cfg, tmp_path / "out")
+        assert info["method_mean_are"]["fgsv"] >= 0
+
     def test_missing_truth_for_large_game(self, tmp_path):
         g = {"type": "size_only", "n": 30, "name": "saturating2"}
         cfg = BenchConfig.from_dict(
@@ -305,6 +312,8 @@ class TestIntegerFields:
         ("attack", {"target_group": 1.9}, []),
         ("attack", {"pieces": ["x"]}, []),
         ("attack", {"group_sizes": ["a"]}, []),
+        ("bench", {"budget": 199}, []),
+        ("bench", {"budget": 201, "checkpoint_interval": 201}, []),
     ])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, command, override, args):
         def no_cells(*a, **k):

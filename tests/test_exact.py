@@ -7,6 +7,7 @@ import pytest
 from groupshapley.combinatorics import HypergeomParams, log_binom
 from groupshapley.exact import (
     Partition,
+    _family_masks,
     check_axioms,
     exact_faithful_group_shapley,
     exact_group_shapley,
@@ -37,9 +38,9 @@ class TableGame(Game):
         super().__init__(n)
         self.table = table
 
-    def _value(self, mask):
-        bits = int((mask * (1 << np.arange(self.n))).sum())
-        return float(self.table[bits])
+    def _values(self, masks):
+        bits = masks @ (1 << np.arange(self.n))
+        return np.array([self.table[int(b)] for b in bits], dtype=float)
 
 
 def glove_game():
@@ -200,6 +201,82 @@ class TestExactMu:
             assert exact_mean_utility(g, members, s, s1) == pytest.approx(
                 float(np.mean(vals)), abs=1e-12
             )
+
+
+def _reference_family_masks(n, members, s, s1):
+    """The per-mask itertools loop that built the families before they were
+    built as arrays."""
+    comp = np.setdiff1d(np.arange(n), members)
+    masks = []
+    for inside in itertools.combinations(members.tolist(), s1):
+        for outside in itertools.combinations(comp.tolist(), s - s1):
+            m = np.zeros(n, dtype=bool)
+            m[list(inside)] = True
+            m[list(outside)] = True
+            masks.append(m)
+    return np.array(masks, dtype=bool)
+
+
+def _reference_union_masks(other_masks):
+    """The per-bit loop that built the coalitions of other groups before the
+    boolean matmul: row ``bits`` ORs the groups whose bits are set."""
+    K, n = other_masks.shape
+    union = np.zeros((1 << K, n), dtype=bool)
+    for bits in range(1 << K):
+        for j in range(K):
+            if (bits >> j) & 1:
+                union[bits] |= other_masks[j]
+    return union
+
+
+class RecordingGame(SizeOnlyGame):
+    """Size-only game that keeps a copy of every batch it scores."""
+
+    def __init__(self, n):
+        super().__init__(n, float)
+        self.batches = []
+
+    def _values(self, masks):
+        self.batches.append(masks.copy())
+        return super()._values(masks)
+
+
+class TestEnumerationReference:
+    """The array-built enumerations equal the loops they replaced, row order
+    included (exact_mean_utility averages over the rows)."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_family_masks(self, n):
+        rng = np.random.default_rng(n)
+        for s0 in range(n + 1):
+            members = np.sort(rng.choice(n, size=s0, replace=False)).astype(np.intp)
+            for s in range(n + 1):
+                for s1 in range(max(0, s - (n - s0)), min(s, s0) + 1):
+                    got = _family_masks(n, members, s, s1)
+                    want = _reference_family_masks(n, members, s, s1)
+                    assert got.dtype == bool and np.array_equal(got, want), (s0, s, s1)
+
+    @pytest.mark.parametrize("K", range(8))
+    def test_union_masks(self, K):
+        n = 8
+        rng = np.random.default_rng(K)
+        labels = np.concatenate([np.arange(K + 1), rng.integers(0, K + 1, n - K - 1)])
+        labels = rng.permutation(labels)
+        partition = Partition([np.flatnonzero(labels == j).tolist() for j in range(K + 1)],
+                              n=n)
+        k = int(rng.integers(0, K + 1))
+        g = RecordingGame(n)
+        exact_group_shapley(g, partition, k)
+        others = [grp for j, grp in enumerate(partition.groups) if j != k]
+        other_masks = np.zeros((K, n), dtype=bool)
+        for j, grp in enumerate(others):
+            other_masks[j, list(grp)] = True
+        target = np.zeros(n, dtype=bool)
+        target[list(partition.groups[k])] = True
+        want = _reference_union_masks(other_masks)
+        without, with_target = g.batches
+        assert np.array_equal(without, want)
+        assert np.array_equal(with_target, want | target)
 
 
 class TestSizeDecomposition:
