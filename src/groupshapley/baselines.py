@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from .combinatorics import _member_indices, sample_uniform_subsets
 from .games import Game
 from .metrics import ConvergenceCurve, Recorder
 
@@ -46,11 +47,8 @@ class SvEstimate:
 
 def group_sum(estimate: SvEstimate, members) -> float:
     """Group value as the sum of its members' estimated values."""
-    members = [int(i) for i in members]
-    n = len(estimate.values)
-    if any(i < 0 or i >= n for i in members):
-        raise ValueError("member index out of range")
-    return float(estimate.values[members].sum()) if members else 0.0
+    members = _member_indices(members, len(estimate.values))
+    return float(estimate.values[members].sum())
 
 
 class _Schedule(NamedTuple):
@@ -125,13 +123,6 @@ def _run(schedule: _Schedule, draw, values, groups, checkpoint_interval,
     return SvEstimate((final or values)(), schedule.evaluations, rec.curves)
 
 
-def _ranked_masks(rng: np.random.Generator, count: int, width: int, sizes) -> np.ndarray:
-    """Uniform subsets of per-row sizes: row i selects sizes[i] columns."""
-    keys = rng.random((count, width))
-    ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
-    return ranks < np.asarray(sizes)[:, None]
-
-
 def _add_to_strata(sums, counts, masks, strata, v) -> None:
     """Adds v[t] to sums[i, strata[t]], and 1 to counts[i, strata[t]], for
     every player i in row t of ``masks``."""
@@ -193,7 +184,7 @@ def group_testing_estimator(
     def draw(c):
         nonlocal colsums, dummysum, rows
         sizes = rng.choice(sizes_support, size=c, p=p)
-        ext = _ranked_masks(rng, c, n + 1, sizes)
+        ext = sample_uniform_subsets(rng, n + 1, sizes, c)
         real = ext[:, :n]
         u = game.evaluate_masks(real)
         colsums += real.T @ u
@@ -220,7 +211,7 @@ def complement_contribution_estimator(
 
     def draw(c):
         sizes = rng.integers(1, n + 1, size=c)
-        masks = _ranked_masks(rng, c, n, sizes)
+        masks = sample_uniform_subsets(rng, n, sizes, c)
         comp = ~masks
         v = game.evaluate_masks(masks) - game.evaluate_masks(comp)
         _add_to_strata(sums, counts, masks, sizes, v)
@@ -269,7 +260,7 @@ def one_for_all_estimator(
 
     def draw(c):
         sizes = rng.choice(interior, size=c, p=q)
-        masks = _ranked_masks(rng, c, n, sizes)
+        masks = sample_uniform_subsets(rng, n, sizes, c)
         uu = game.evaluate_masks(masks)
         _add_to_strata(in_sums, in_counts, masks, sizes, uu)
         _add_to_strata(out_sums, out_counts, ~masks, sizes, uu)
@@ -342,7 +333,7 @@ def _weighted_ls_estimator(
     def draw(c):
         nonlocal A_acc, b_acc, draws
         sizes = rng.choice(sizes_support, size=c, p=probs)
-        masks = _ranked_masks(rng, c, n, sizes)
+        masks = sample_uniform_subsets(rng, n, sizes, c)
         w = weight_fn(sizes)
         u1 = game.evaluate_masks(masks)
         if paired:

@@ -72,6 +72,43 @@ def _check_feasible(n: int, s0: int, s: int, s1: int) -> None:
         )
 
 
+def _member_indices(members, n: int) -> np.ndarray:
+    """Sorted unique indices of ``members`` (any iterable of ints) as ``intp``;
+    raises ValueError for any index outside [0, n). Sort and compare, since
+    ``np.unique`` costs ~3x as much and the samplers call this per batch."""
+    if not isinstance(members, np.ndarray):
+        members = np.fromiter(members, dtype=np.intp)
+    idx = np.sort(members.astype(np.intp, copy=False))
+    idx = np.concatenate((idx[:1], idx[1:][idx[1:] != idx[:-1]]))
+    if len(idx) and (idx[0] < 0 or idx[-1] >= n):
+        raise ValueError(f"member index out of range for n={n}")
+    return idx
+
+
+def _select_smallest(rng: np.random.Generator, count: int, width: int, k):
+    """Rank selection on ``rng.random((count, width))`` keys, with ``k`` one
+    int or one int per row in [0, width]. Returns the masks of each row's k
+    smallest keys and of its (k+1)-th smallest (empty where k = width). The
+    threshold comes from ``np.partition`` for one k below the width, else
+    from a row sort plus an ``inf`` column; a tie there raises
+    FloatingPointError, since it would select fewer than k keys."""
+    k = np.asarray(k, dtype=np.intp)
+    if ((k < 0) | (k > width)).any():
+        raise ValueError(f"subset size out of range [0, {width}]: {k}")
+    keys = rng.random((count, width))
+    if k.ndim == 0 and k < width:
+        kth = np.partition(keys, k, axis=1)[:, k, None]
+    else:
+        ranked = np.append(np.sort(keys, axis=1), np.full((count, 1), np.inf), axis=1)
+        kth = ranked[np.arange(count), k, None]
+    mask = keys < kth
+    # No row has more than k keys below its (k+1)-th, so a short total means
+    # a short row.
+    if np.count_nonzero(mask) != (k.sum() if k.ndim else k * count):
+        raise FloatingPointError("tied random keys at the selection threshold")
+    return mask, keys == kth
+
+
 def _split_indices(members: np.ndarray, n: int) -> np.ndarray:
     comp = np.ones(n, dtype=bool)
     comp[members] = False
@@ -89,25 +126,17 @@ def sample_subsets_with_intersection(
     """Boolean masks (count, n) of subsets uniform over {S : |S|=s, |S∩members|=s1}.
 
     Each draw takes s1 indices from ``members`` and s-s1 from the complement,
-    both uniformly without replacement, via rank selection on random keys.
+    both uniformly without replacement, via rank selection on random keys. A
+    pool draws keys only when it contributes at least one index.
     """
-    members = np.asarray(members, dtype=np.intp)
+    members = _member_indices(members, n)
     _check_feasible(n, len(members), s, s1)
-    comp = _split_indices(members, n)
-    masks = np.zeros((count, n), dtype=bool)
-    rows = np.arange(count)[:, None]
-    if s1 > 0:
-        keys = rng.random((count, len(members)))
-        chosen = np.argpartition(keys, s1 - 1, axis=1)[:, :s1] if s1 < len(members) \
-            else np.tile(np.arange(len(members)), (count, 1))
-        masks[rows, members[chosen]] = True
-    s2 = s - s1
-    if s2 > 0:
-        keys = rng.random((count, len(comp)))
-        chosen = np.argpartition(keys, s2 - 1, axis=1)[:, :s2] if s2 < len(comp) \
-            else np.tile(np.arange(len(comp)), (count, 1))
-        masks[rows, comp[chosen]] = True
-    return masks
+    # Pools fill rows of the transpose: ~4x faster than assigning columns.
+    masks = np.zeros((n, count), dtype=bool)
+    for pool, k in ((members, s1), (_split_indices(members, n), s - s1)):
+        if k > 0:
+            masks[pool] = _select_smallest(rng, count, len(pool), k)[0].T
+    return np.ascontiguousarray(masks.T)
 
 
 def sample_paired_tuples(
@@ -123,7 +152,7 @@ def sample_paired_tuples(
 
     Returns (masks, z1s, z2s). Requires both residual pools to be non-empty.
     """
-    members = np.asarray(members, dtype=np.intp)
+    members = _member_indices(members, n)
     s0 = len(members)
     _check_feasible(n, s0, s, s1)
     if s0 - s1 < 1:
@@ -135,37 +164,20 @@ def sample_paired_tuples(
             f"no non-member left outside S: n-|members|={n - s0}, s-s1={s - s1}"
         )
     comp = _split_indices(members, n)
-    masks = np.zeros((count, n), dtype=bool)
-    rows = np.arange(count)[:, None]
-
-    # Rank selection: the s1 smallest keys form S's member part and the
-    # (s1+1)-th smallest is a uniform draw from the remainder.
-    keys = rng.random((count, s0))
-    order = np.argpartition(keys, s1, axis=1)
-    if s1 > 0:
-        masks[rows, members[order[:, :s1]]] = True
-    z1 = members[order[:, s1]]
-
-    s2 = s - s1
-    keys = rng.random((count, len(comp)))
-    order = np.argpartition(keys, s2, axis=1)
-    if s2 > 0:
-        masks[rows, comp[order[:, :s2]]] = True
-    z2 = comp[order[:, s2]]
-    return masks, z1, z2
+    masks = np.zeros((n, count), dtype=bool)
+    # The (k+1)-th smallest key of each pool is a uniform draw from the rest.
+    part, nxt = _select_smallest(rng, count, s0, s1)
+    masks[members] = part.T
+    z1 = members[nxt.argmax(axis=1)]
+    part, nxt = _select_smallest(rng, count, len(comp), s - s1)
+    masks[comp] = part.T
+    z2 = comp[nxt.argmax(axis=1)]
+    return np.ascontiguousarray(masks.T), z1, z2
 
 
 def sample_uniform_subsets(
-    rng: np.random.Generator, n: int, s: int, count: int
+    rng: np.random.Generator, n: int, s, count: int
 ) -> np.ndarray:
-    """Boolean masks (count, n) of uniform size-s subsets of {0..n-1}."""
-    masks = np.zeros((count, n), dtype=bool)
-    if s == 0:
-        return masks
-    if s == n:
-        masks[:] = True
-        return masks
-    keys = rng.random((count, n))
-    chosen = np.argpartition(keys, s - 1, axis=1)[:, :s]
-    masks[np.arange(count)[:, None], chosen] = True
-    return masks
+    """Boolean masks (count, n) of uniform subsets of {0..n-1}; ``s`` is one
+    size in [0, n] or one size per row."""
+    return _select_smallest(rng, count, n, s)[0]

@@ -15,6 +15,8 @@ import numpy as np
 
 from .combinatorics import (
     HypergeomParams,
+    _check_feasible,
+    _member_indices,
     log_family_size,
     sample_paired_tuples,
     sample_subsets_with_intersection,
@@ -93,9 +95,7 @@ def _mean_utility(
     """Mean utility over one (size, overlap) family and the variance of that
     mean, which is zero when the family is enumerated."""
     n, s0 = game.n, len(members)
-    lo, hi = HypergeomParams(n, s0, s).support()
-    if s1 < lo or s1 > hi:
-        raise ValueError(f"overlap {s1} infeasible (support [{lo}, {hi}])")
+    _check_feasible(n, s0, s, s1)
     if exhaustive and log_family_size(n, s0, s, s1) <= math.log(samples):
         masks = _family_masks(n, members, s, s1)
         return float(game.evaluate_masks(masks).mean()), 0.0
@@ -117,7 +117,7 @@ def estimate_mean_utility(
     """Monte Carlo mean of the utility over subsets of size s with the given
     overlap; enumerates the whole family instead when ``exhaustive`` is set
     and the family is no larger than ``samples``."""
-    members = np.array(sorted(set(int(i) for i in members)), dtype=np.intp)
+    members = _member_indices(members, game.n)
     return _mean_utility(game, members, s, s1, samples, rng, exhaustive)[0]
 
 
@@ -133,8 +133,8 @@ def estimate_mean_utility_gap(
     """Paired Monte Carlo estimate of the change in conditional mean utility
     when one more member replaces a non-member: averages
     U(S ∪ {member}) - U(S ∪ {non-member}) over shared base subsets S."""
-    members = np.array(sorted(set(int(i) for i in members)), dtype=np.intp)
     n = game.n
+    members = _member_indices(members, n)
     masks, z1, z2 = sample_paired_tuples(rng, n, members, s, s1, samples)
     rows = np.arange(samples)
     with_in = masks.copy()
@@ -173,11 +173,9 @@ def _run_plan(
     """Runs the size plan: the efficiency endpoints and the grid cells on
     ``game``, the paired differences on ``pair_game``. Both must count their
     evaluations on ``game``'s counter."""
-    members = np.array(sorted(set(int(i) for i in members)), dtype=np.intp)
     n = game.n
+    members = _member_indices(members, n)
     s0 = len(members)
-    if len(members) and (members[0] < 0 or members[-1] >= n):
-        raise ValueError("member index out of range")
     recorder = Recorder(config.checkpoint_interval)
     start = game.eval_counter
 

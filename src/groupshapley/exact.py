@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import HypergeomParams
+from .combinatorics import HypergeomParams, _check_feasible, _member_indices
 from .games import Game, SOUGame
 
 DEFAULT_CAP = 20
@@ -63,16 +63,19 @@ def utility_table(game: Game, cap: int = DEFAULT_CAP) -> np.ndarray:
     return game.evaluate_masks(_all_masks(n))
 
 
+def _shapley_weights(n: int) -> np.ndarray:
+    """Entry s is the permutation weight s! (n-s-1)! / n! of a coalition of
+    s of the other players, computed in log-space."""
+    return np.exp([math.lgamma(s + 1) + math.lgamma(n - s) - math.lgamma(n + 1)
+                   for s in range(n)])
+
+
 def exact_shapley_values(game: Game, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All n individual Shapley values by full enumeration (2^n evaluations)."""
     n = game.n
     table = utility_table(game, cap=cap)
     sizes = _all_masks(n).sum(axis=1)
-    # Permutation weights |S|! (n-|S|-1)! / n!, computed in log-space.
-    log_w = np.array(
-        [math.lgamma(s + 1) + math.lgamma(n - s) - math.lgamma(n + 1) for s in range(n)]
-    )
-    weights = np.exp(log_w)
+    weights = _shapley_weights(n)
     sv = np.zeros(n)
     ids = np.arange(1 << n, dtype=np.int64)
     for i in range(n):
@@ -101,25 +104,19 @@ def exact_group_shapley(game: Game, partition: Partition, k: int) -> float:
 
     # Row `bits` is the union of the groups whose bits are set: a boolean
     # matmul ORs the selected rows of other_masks.
-    union_masks = _all_masks(K) @ other_masks
+    selected = _all_masks(K)
+    union_masks = selected @ other_masks
     with_target = union_masks | target
     u_without = game.evaluate_masks(union_masks)
     u_with = game.evaluate_masks(with_target)
-
-    total = 0.0
-    for bits in range(1 << K):
-        m = bin(bits).count("1")
-        log_w = math.lgamma(m + 1) + math.lgamma(K - m + 1) - math.lgamma(K + 2)
-        total += math.exp(log_w) * (u_with[bits] - u_without[bits])
-    return total
+    weights = _shapley_weights(K + 1)[selected.sum(axis=1)]
+    return float(weights @ (u_with - u_without))
 
 
 def exact_faithful_group_shapley(game: Game, members, cap: int = DEFAULT_CAP) -> float:
     """Sum of the members' individual Shapley values."""
-    members = sorted(set(int(i) for i in members))
-    if members and (members[0] < 0 or members[-1] >= game.n):
-        raise ValueError("member index out of range")
-    if not members:
+    members = _member_indices(members, game.n)
+    if len(members) == 0:
         return 0.0
     sv = exact_shapley_values(game, cap=cap)
     return float(sv[members].sum())
@@ -144,11 +141,8 @@ def _family_masks(n: int, members: np.ndarray, s: int, s1: int) -> np.ndarray:
 def exact_mean_utility(game: Game, members, s: int, s1: int) -> float:
     """Average utility over all subsets of size s intersecting the member set
     in exactly s1 points, by enumeration."""
-    members = np.array(sorted(set(int(i) for i in members)), dtype=np.intp)
-    params = HypergeomParams(game.n, len(members), s)
-    lo, hi = params.support()
-    if s1 < lo or s1 > hi:
-        raise ValueError(f"overlap {s1} infeasible (support [{lo}, {hi}])")
+    members = _member_indices(members, game.n)
+    _check_feasible(game.n, len(members), s, s1)
     masks = _family_masks(game.n, members, s, s1)
     return float(game.evaluate_masks(masks).mean())
 
@@ -160,7 +154,7 @@ def exact_size_term(game: Game, members, s: int) -> float:
     n = game.n
     if not (1 <= s <= n - 1):
         raise ValueError(f"size {s} out of range 1..{n - 1}")
-    members = np.array(sorted(set(int(i) for i in members)), dtype=np.intp)
+    members = _member_indices(members, game.n)
     s0 = len(members)
     params = HypergeomParams(n, s0, s)
     lo, probs = params.pmf_vector()
@@ -176,8 +170,8 @@ def faithful_group_shapley_by_sizes(game: Game, members) -> float:
     """Faithful group value via its coalition-size decomposition: the
     efficiency share plus the sum of per-size terms. Agrees with
     :func:`exact_faithful_group_shapley` up to rounding."""
-    members = sorted(set(int(i) for i in members))
-    if not members:
+    members = _member_indices(members, game.n)
+    if len(members) == 0:
         return 0.0
     n = game.n
     s0 = len(members)

@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .combinatorics import _member_indices
+
 
 class UnsupportedGameError(TypeError):
     """Raised when an operation needs a capability the game type lacks."""
@@ -234,9 +236,7 @@ class IntersectionSizeGame(Game):
 
     def __init__(self, n: int, members: Sequence[int], profile: Callable[[int, int], float]):
         super().__init__(n)
-        self.members = np.array(sorted(set(members)), dtype=np.intp)
-        if len(self.members) and (self.members[0] < 0 or self.members[-1] >= n):
-            raise ValueError("member index out of range")
+        self.members = _member_indices(members, n)
         self.profile = profile
         self._member_mask = np.zeros(n, dtype=bool)
         self._member_mask[self.members] = True

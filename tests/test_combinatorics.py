@@ -5,14 +5,105 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from groupshapley.baselines import SvEstimate, group_sum
 from groupshapley.combinatorics import (
     HypergeomParams,
+    _check_feasible,
+    _split_indices,
     log_binom,
     log_family_size,
     sample_paired_tuples,
     sample_subsets_with_intersection,
     sample_uniform_subsets,
 )
+from groupshapley.estimator import (
+    EstimatorConfig,
+    estimate_group_value,
+    estimate_mean_utility,
+    estimate_mean_utility_gap,
+)
+from groupshapley.exact import (
+    exact_faithful_group_shapley,
+    exact_mean_utility,
+    exact_size_term,
+    faithful_group_shapley_by_sizes,
+)
+from groupshapley.games import IntersectionSizeGame, sou_generate
+
+
+# The four rank-selection samplers that one primitive replaced, kept verbatim
+# as references: the same keys must select the same subsets.
+
+def _reference_subsets_with_intersection(rng, n, members, s, s1, count):
+    members = np.asarray(members, dtype=np.intp)
+    _check_feasible(n, len(members), s, s1)
+    comp = _split_indices(members, n)
+    masks = np.zeros((count, n), dtype=bool)
+    rows = np.arange(count)[:, None]
+    if s1 > 0:
+        keys = rng.random((count, len(members)))
+        chosen = np.argpartition(keys, s1 - 1, axis=1)[:, :s1] if s1 < len(members) \
+            else np.tile(np.arange(len(members)), (count, 1))
+        masks[rows, members[chosen]] = True
+    s2 = s - s1
+    if s2 > 0:
+        keys = rng.random((count, len(comp)))
+        chosen = np.argpartition(keys, s2 - 1, axis=1)[:, :s2] if s2 < len(comp) \
+            else np.tile(np.arange(len(comp)), (count, 1))
+        masks[rows, comp[chosen]] = True
+    return masks
+
+
+def _reference_paired_tuples(rng, n, members, s, s1, count):
+    members = np.asarray(members, dtype=np.intp)
+    s0 = len(members)
+    _check_feasible(n, s0, s, s1)
+    if s0 - s1 < 1:
+        raise ValueError(
+            f"no member left outside S: |members|={s0}, overlap s1={s1}"
+        )
+    if (n - s0) - (s - s1) < 1:
+        raise ValueError(
+            f"no non-member left outside S: n-|members|={n - s0}, s-s1={s - s1}"
+        )
+    comp = _split_indices(members, n)
+    masks = np.zeros((count, n), dtype=bool)
+    rows = np.arange(count)[:, None]
+
+    # Rank selection: the s1 smallest keys form S's member part and the
+    # (s1+1)-th smallest is a uniform draw from the remainder.
+    keys = rng.random((count, s0))
+    order = np.argpartition(keys, s1, axis=1)
+    if s1 > 0:
+        masks[rows, members[order[:, :s1]]] = True
+    z1 = members[order[:, s1]]
+
+    s2 = s - s1
+    keys = rng.random((count, len(comp)))
+    order = np.argpartition(keys, s2, axis=1)
+    if s2 > 0:
+        masks[rows, comp[order[:, :s2]]] = True
+    z2 = comp[order[:, s2]]
+    return masks, z1, z2
+
+
+def _reference_uniform_subsets(rng, n, s, count):
+    masks = np.zeros((count, n), dtype=bool)
+    if s == 0:
+        return masks
+    if s == n:
+        masks[:] = True
+        return masks
+    keys = rng.random((count, n))
+    chosen = np.argpartition(keys, s - 1, axis=1)[:, :s]
+    masks[np.arange(count)[:, None], chosen] = True
+    return masks
+
+
+def _reference_ranked_masks(rng, count, width, sizes):
+    keys = rng.random((count, width))
+    ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
+    return ranks < np.asarray(sizes)[:, None]
 
 
 class TestLogBinom:
@@ -199,6 +290,10 @@ class TestUniformSubsets:
         for s in range(0, 7):
             masks = sample_uniform_subsets(rng, 6, s, 50)
             assert (masks.sum(axis=1) == s).all()
+        sizes = rng.integers(0, 6, 300)
+        masks = sample_uniform_subsets(rng, 5, sizes, 300)
+        assert masks.shape == (300, 5)
+        assert (masks.sum(axis=1) == sizes).all()
 
     def test_uniformity(self):
         rng = np.random.default_rng(6)
@@ -209,6 +304,24 @@ class TestUniformSubsets:
         assert len(counts) == 10
         stat = ((counts - draws / 10) ** 2 / (draws / 10)).sum()
         assert stat < scipy.stats.chi2.ppf(0.999, df=9)
+
+        # Per-row sizes: uniform within each size stratum.
+        sizes = rng.permutation(np.repeat(np.arange(6), 10**4))
+        masks = sample_uniform_subsets(rng, 5, sizes, len(sizes))
+        assert (masks.sum(axis=1) == sizes).all()
+        keys = masks @ (1 << np.arange(5))
+        for s in range(1, 5):
+            _, counts = np.unique(keys[sizes == s], return_counts=True)
+            family = math.comb(5, s)
+            assert len(counts) == family
+            exp = 10**4 / family
+            stat = ((counts - exp) ** 2 / exp).sum()
+            assert stat < scipy.stats.chi2.ppf(0.999, df=family - 1)
+
+    @pytest.mark.parametrize("s", [-1, -3, 6, [0, 6, 2], [3, -1, 0]])
+    def test_size_out_of_range(self, s):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_uniform_subsets(np.random.default_rng(0), 5, s, 3)
 
 
 def test_overlap_frequencies_match_pmf_small_grid():
@@ -252,3 +365,139 @@ def test_constrained_sampler_matches_enumeration_counts():
     exp = draws / len(family)
     stat = sum((c - exp) ** 2 / exp for c in seen.values())
     assert stat < scipy.stats.chi2.ppf(0.999, df=len(family) - 1)
+
+
+def _same_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+class TestSelectionReference:
+    """The samplers select the same subsets from the same keys as the
+    rank-selection code they replaced, and leave the generator in the same
+    state. The one difference: ``sample_uniform_subsets`` now draws keys at
+    s = 0 and s = n too, where the subset is fixed."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_fixed_sizes(self, n):
+        pick = np.random.default_rng(n)
+        for s0 in range(n + 1):
+            members = np.sort(pick.choice(n, size=s0, replace=False)).astype(np.intp)
+            for s in range(n + 1):
+                for count in (0, 1, 7, 64):
+                    seed = int(pick.integers(2**32))
+                    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = sample_uniform_subsets(got_rng, n, s, count)
+                    want = _reference_uniform_subsets(want_rng, n, s, count)
+                    assert got.shape == (count, n) and np.array_equal(got, want)
+                    if 0 < s < n:
+                        assert _same_state(got_rng, want_rng)
+                    for s1 in range(max(0, s - (n - s0)), min(s, s0) + 1):
+                        self._check(n, members, s, s1, count, seed)
+
+    @pytest.mark.parametrize("s0, s, s1", [
+        (256, 10, 2), (256, 500, 125), (256, 1000, 250), (1, 700, 0), (1023, 1022, 1021),
+    ])
+    def test_wide(self, s0, s, s1):
+        n = 1024
+        members = np.sort(np.random.default_rng(s).choice(n, size=s0, replace=False))
+        self._check(n, members, s, s1, 64, s0 + s)
+
+    @staticmethod
+    def _check(n, members, s, s1, count, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_subsets_with_intersection(got_rng, n, members, s, s1, count)
+        want = _reference_subsets_with_intersection(want_rng, n, members, s, s1, count)
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+        assert _same_state(got_rng, want_rng)
+
+        s0 = len(members)
+        if s0 - s1 < 1 or (n - s0) - (s - s1) < 1:
+            with pytest.raises(ValueError):
+                sample_paired_tuples(got_rng, n, members, s, s1, count)
+            return
+        got = sample_paired_tuples(got_rng, n, members, s, s1, count)
+        want = _reference_paired_tuples(want_rng, n, members, s, s1, count)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert _same_state(got_rng, want_rng)
+
+    @pytest.mark.parametrize("width", [1, 2, 64, 65, 1025])
+    def test_per_row_sizes(self, width):
+        pick = np.random.default_rng(width)
+        sizes = np.concatenate([[0, width], pick.integers(0, width + 1, 48)])
+        got_rng, want_rng = np.random.default_rng(width), np.random.default_rng(width)
+        got = sample_uniform_subsets(got_rng, width, sizes, len(sizes))
+        want = _reference_ranked_masks(want_rng, len(sizes), width, sizes)
+        assert np.array_equal(got, want)
+        assert _same_state(got_rng, want_rng)
+
+
+class _TiedKeys:
+    """Generator stand-in whose keys are all equal."""
+
+    def random(self, shape):
+        return np.full(shape, 0.5)
+
+
+class TestTiedKeys:
+    """A tie at the selection threshold would select too few keys; it must
+    raise instead of returning a short subset."""
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: sample_subsets_with_intersection(rng, 6, [0, 1, 2], 3, 1, 4),
+        lambda rng: sample_paired_tuples(rng, 6, [0, 1, 2], 3, 1, 4),
+        lambda rng: sample_uniform_subsets(rng, 6, 2, 4),
+        lambda rng: sample_uniform_subsets(rng, 6, [0, 2, 6, 1], 4),
+    ])
+    def test_raises(self, draw):
+        with pytest.raises(FloatingPointError):
+            draw(_TiedKeys())
+
+
+# Every public function that takes a member set, called on a 6-player game.
+_MEMBER_CALLS = {
+    "sample_subsets_with_intersection":
+        lambda g, m, rng: sample_subsets_with_intersection(rng, 6, m, 2, 1, 4),
+    "sample_paired_tuples": lambda g, m, rng: sample_paired_tuples(rng, 6, m, 2, 0, 4),
+    "estimate_mean_utility": lambda g, m, rng: estimate_mean_utility(g, m, 2, 1, 50, rng),
+    "estimate_mean_utility_gap":
+        lambda g, m, rng: estimate_mean_utility_gap(g, m, 2, 0, 50, rng),
+    "estimate_group_value": lambda g, m, rng: estimate_group_value(
+        g, m, EstimatorConfig(size_threshold=2, grid_samples=4, pair_samples=4), rng),
+    "exact_faithful_group_shapley": lambda g, m, rng: exact_faithful_group_shapley(g, m),
+    "faithful_group_shapley_by_sizes":
+        lambda g, m, rng: faithful_group_shapley_by_sizes(g, m),
+    "exact_mean_utility": lambda g, m, rng: exact_mean_utility(g, m, 2, 1),
+    "exact_size_term": lambda g, m, rng: exact_size_term(g, m, 2),
+    "group_sum": lambda g, m, rng: group_sum(SvEstimate(np.arange(6.0), 0), m),
+    "IntersectionSizeGame":
+        lambda g, m, rng: IntersectionSizeGame(6, m, lambda s1, s: 0.0),
+}
+
+
+class TestMemberSets:
+    @pytest.mark.parametrize("members", [[-1], [6], [0, 6], [-1, 2]])
+    @pytest.mark.parametrize("name", sorted(_MEMBER_CALLS))
+    def test_out_of_range(self, name, members):
+        g = sou_generate(6, 10, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            _MEMBER_CALLS[name](g, members, np.random.default_rng(0))
+
+    def test_duplicates_in_samplers(self):
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = sample_subsets_with_intersection(got_rng, 5, [2, 0, 0, 2], 2, 1, 16)
+        want = sample_subsets_with_intersection(want_rng, 5, [0, 2], 2, 1, 16)
+        assert np.array_equal(got, want)
+        got = sample_paired_tuples(got_rng, 5, [2, 0, 0, 2], 2, 1, 16)
+        want = sample_paired_tuples(want_rng, 5, [0, 2], 2, 1, 16)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert _same_state(got_rng, want_rng)
+        # One distinct member overlapping S in one point leaves none for z1.
+        with pytest.raises(ValueError, match="no member left"):
+            sample_paired_tuples(np.random.default_rng(0), 5, [1, 1], 2, 1, 3)
+
+    def test_duplicates_in_group_sum(self):
+        est = SvEstimate(np.array([1.0, 2.0, 4.0]), 0)
+        assert group_sum(est, [0, 0]) == 1.0
+        assert group_sum(est, {2, 0}) == 5.0
+        assert group_sum(est, []) == 0.0

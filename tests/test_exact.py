@@ -229,6 +229,17 @@ def _reference_union_masks(other_masks):
     return union
 
 
+def _reference_group_shapley_sum(u_with, u_without, K):
+    """The per-coalition loop that summed the weighted marginals before the
+    per-size weights and one dot product."""
+    total = 0.0
+    for bits in range(1 << K):
+        m = bin(bits).count("1")
+        log_w = math.lgamma(m + 1) + math.lgamma(K - m + 1) - math.lgamma(K + 2)
+        total += math.exp(log_w) * (u_with[bits] - u_without[bits])
+    return total
+
+
 class RecordingGame(SizeOnlyGame):
     """Size-only game that keeps a copy of every batch it scores."""
 
@@ -277,6 +288,28 @@ class TestEnumerationReference:
         without, with_target = g.batches
         assert np.array_equal(without, want)
         assert np.array_equal(with_target, want | target)
+
+    @pytest.mark.parametrize("kind", ["sou", "size_only"])
+    @pytest.mark.parametrize("K", range(11))
+    def test_group_shapley_weights(self, K, kind):
+        n = K + 3
+        rng = np.random.default_rng(K)
+        labels = rng.permutation(np.concatenate([np.arange(K + 1), [0, K]]))
+        partition = Partition([np.flatnonzero(labels == j).tolist() for j in range(K + 1)],
+                              n=n)
+        g = sou_generate(n, 3 * n, K) if kind == "sou" else SizeOnlyGame(n, math.log1p)
+        for k in {0, K}:
+            others = [grp for j, grp in enumerate(partition.groups) if j != k]
+            other_masks = np.zeros((K, n), dtype=bool)
+            for j, grp in enumerate(others):
+                other_masks[j, list(grp)] = True
+            union = _reference_union_masks(other_masks)
+            target = np.zeros(n, dtype=bool)
+            target[list(partition.groups[k])] = True
+            want = _reference_group_shapley_sum(
+                g.evaluate_masks(union | target), g.evaluate_masks(union), K)
+            assert exact_group_shapley(g, partition, k) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
 
 
 class TestSizeDecomposition:
