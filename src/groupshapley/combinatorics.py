@@ -74,12 +74,17 @@ def _check_feasible(n: int, s0: int, s: int, s1: int) -> None:
 
 def _member_indices(members, n: int) -> np.ndarray:
     """Sorted unique indices of ``members`` (any iterable of ints) as ``intp``;
-    raises ValueError for any index outside [0, n). Sort and compare, since
-    ``np.unique`` costs ~3x as much and the samplers call this per batch."""
-    if not isinstance(members, np.ndarray):
-        members = np.fromiter(members, dtype=np.intp)
-    idx = np.sort(members.astype(np.intp, copy=False))
-    idx = np.concatenate((idx[:1], idx[1:][idx[1:] != idx[:-1]]))
+    raises ValueError for any index outside [0, n). A 1-D ``intp`` array that
+    is already strictly increasing, as the estimator passes to every sampler
+    call, is only checked and returned as is. Otherwise sort and compare,
+    since ``np.unique`` costs ~3x as much."""
+    idx = members
+    if not (isinstance(idx, np.ndarray) and idx.dtype == np.intp and idx.ndim == 1
+            and (idx[1:] > idx[:-1]).all()):
+        if not isinstance(idx, np.ndarray):
+            idx = np.fromiter(idx, dtype=np.intp)
+        idx = np.sort(idx.astype(np.intp, copy=False))
+        idx = np.concatenate((idx[:1], idx[1:][idx[1:] != idx[:-1]]))
     if len(idx) and (idx[0] < 0 or idx[-1] >= n):
         raise ValueError(f"member index out of range for n={n}")
     return idx
@@ -92,11 +97,19 @@ def _select_smallest(rng: np.random.Generator, count: int, width: int, k):
     threshold comes from ``np.partition`` for one k below the width, else
     from a row sort plus an ``inf`` column; a tie there raises
     FloatingPointError, since it would select fewer than k keys."""
-    k = np.asarray(k, dtype=np.intp)
-    if ((k < 0) | (k > width)).any():
-        raise ValueError(f"subset size out of range [0, {width}]: {k}")
+    # One k is checked in Python: at small widths the array check was a
+    # quarter of the call.
+    one_k = isinstance(k, (int, np.integer)) or np.ndim(k) == 0
+    if one_k:
+        k = int(k)
+        if not 0 <= k <= width:
+            raise ValueError(f"subset size out of range [0, {width}]: {k}")
+    else:
+        k = np.asarray(k, dtype=np.intp)
+        if ((k < 0) | (k > width)).any():
+            raise ValueError(f"subset size out of range [0, {width}]: {k}")
     keys = rng.random((count, width))
-    if k.ndim == 0 and k < width:
+    if one_k and k < width:
         kth = np.partition(keys, k, axis=1)[:, k, None]
     else:
         ranked = np.append(np.sort(keys, axis=1), np.full((count, 1), np.inf), axis=1)
@@ -104,7 +117,7 @@ def _select_smallest(rng: np.random.Generator, count: int, width: int, k):
     mask = keys < kth
     # No row has more than k keys below its (k+1)-th, so a short total means
     # a short row.
-    if np.count_nonzero(mask) != (k.sum() if k.ndim else k * count):
+    if np.count_nonzero(mask) != (k * count if one_k else k.sum()):
         raise FloatingPointError("tied random keys at the selection threshold")
     return mask, keys == kth
 

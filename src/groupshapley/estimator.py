@@ -133,20 +133,26 @@ def estimate_mean_utility_gap(
     """Paired Monte Carlo estimate of the change in conditional mean utility
     when one more member replaces a non-member: averages
     U(S ∪ {member}) - U(S ∪ {non-member}) over shared base subsets S."""
-    n = game.n
-    members = _member_indices(members, n)
-    masks, z1, z2 = sample_paired_tuples(rng, n, members, s, s1, samples)
+    members = _member_indices(members, game.n)
+    mean, var = _mean_utility_gap(game, members, s, s1, samples, rng)
+    return (mean, var) if return_variance else mean
+
+
+def _mean_utility_gap(
+    game: Game, members: np.ndarray, s: int, s1: int, samples: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Mean and sample variance of the paired differences, for parsed
+    members."""
+    masks, z1, z2 = sample_paired_tuples(rng, game.n, members, s, s1, samples)
     rows = np.arange(samples)
     with_in = masks.copy()
     with_in[rows, z1] = True
     with_out = masks.copy()
     with_out[rows, z2] = True
     diffs = game.evaluate_masks(with_in) - game.evaluate_masks(with_out)
-    mean = float(diffs.mean())
-    if return_variance:
-        var = float(diffs.var(ddof=1)) if samples > 1 else 0.0
-        return mean, var
-    return mean
+    var = float(diffs.var(ddof=1)) if samples > 1 else 0.0
+    return float(diffs.mean()), var
 
 
 def predicted_evaluations(n: int, s0: int, config: EstimatorConfig) -> int:
@@ -200,9 +206,8 @@ def _run_plan(
 
     for s, s1, probs in _size_plan(n, s0, config.size_threshold):
         if probs is None:
-            gap, var = estimate_mean_utility_gap(
-                pair_game, members, s, s1, config.pair_samples, rng,
-                return_variance=True,
+            gap, var = _mean_utility_gap(
+                pair_game, members, s, s1, config.pair_samples, rng
             )
             coef = (n / (n - 1)) * alpha0 * (1 - alpha0)
             term = coef * gap

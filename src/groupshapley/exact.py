@@ -98,14 +98,14 @@ def exact_group_shapley(game: Game, partition: Partition, k: int) -> float:
     n = game.n
     target = np.zeros(n, dtype=bool)
     target[list(groups[k])] = True
-    other_masks = np.zeros((K, n), dtype=bool)
+    # Row `bits` is the union of the groups whose bits are set. The groups are
+    # disjoint, so each player of another group copies that group's column
+    # of `selected`; every other player copies an extra column of zeros.
+    column = np.full(n, K)
     for j, g in enumerate(others):
-        other_masks[j, list(g)] = True
-
-    # Row `bits` is the union of the groups whose bits are set: a boolean
-    # matmul ORs the selected rows of other_masks.
+        column[list(g)] = j
     selected = _all_masks(K)
-    union_masks = selected @ other_masks
+    union_masks = np.pad(selected, ((0, 0), (0, 1)))[:, column]
     with_target = union_masks | target
     u_without = game.evaluate_masks(union_masks)
     u_with = game.evaluate_masks(with_target)

@@ -108,11 +108,14 @@ class Game:
         raise NotImplementedError(f"{type(self).__name__} is not serializable")
 
 
-# Entries of one (words, rows, subsets) block of the batched SOU kernel:
-# 2^17 uint64 words keep each intermediate array near 1 MB, inside a core's
-# L2 cache. On a 2-core Xeon with 2 MB of L2 per core, blocks of 8 MB were
-# ~25% slower on 500-mask batches at n=64, d=4096.
-_SOU_CHUNK_ENTRIES = 1 << 17
+# Entries of one (words, rows, subsets) block of the SOU kernel. 2^15
+# uint64 words keep each block's temporaries near 256 KB, inside a core's L2
+# cache, and keep each block's limb matmul small (8 rows x 4096 subsets x 2
+# limbs at n=64, d=4096) so that OpenBLAS runs it on one thread.
+_SOU_CHUNK_ENTRIES = 1 << 15
+
+# Set bits of every byte value.
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
 
 
 def _pack_masks(masks: np.ndarray) -> np.ndarray:
@@ -123,6 +126,68 @@ def _pack_masks(masks: np.ndarray) -> np.ndarray:
     packed = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
     packed[:, : -(-n // 8)] = np.packbits(masks, axis=1, bitorder="little")
     return np.ascontiguousarray(packed.view(np.uint64).T)
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits of each column of (words, rows) packed masks."""
+    per_byte = _BYTE_POPCOUNT[words.view(np.uint8)]
+    return per_byte.reshape(len(words), -1, 8).sum(axis=(0, 2))
+
+
+def _exact_limbs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Splits finite ``values`` exactly into integer-valued float64 limbs on
+    one grid of powers of two: ``values[j] == sum_k limbs[k, j] * scales[k]``.
+    Limbs hold w = 52 - ceil(log2 len(values)) bits each, so any sum of up to
+    len(values) entries of one limb row is an exact integer below 2^52,
+    whatever the order of the additions."""
+    width = 52 - (len(values) - 1).bit_length()
+    mantissas, exponents = np.frexp(values)
+    exponents = exponents[mantissas != 0]
+    # A double below 2^e in magnitude is a multiple of 2^(e - 53), and every
+    # double is a multiple of 2^-1074.
+    low = max(int(exponents.min(initial=53)) - 53, -1074)
+    top = int(exponents.max(initial=low))
+    grid = low + width * np.arange(max(1, -(-(top - low) // width)))
+    limbs = np.empty((len(grid), len(values)))
+    rest = values
+    for k in reversed(range(len(grid))):
+        limbs[k] = np.trunc(np.ldexp(rest, -grid[k]))
+        rest = rest - np.ldexp(limbs[k], grid[k])
+    return limbs, np.ldexp(1.0, grid)
+
+
+def _round_limb_sums(sums: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Correctly rounded ``sum_k sums[k, j] * scales[k]`` for each j, given exact
+    integer limb sums on the grid of :func:`_exact_limbs`; ``sums`` is
+    overwritten. Equals ``math.fsum`` of the terms the limbs were split from.
+    Every part is a multiple of 2^-1074, so scaling it is exact."""
+    count = len(sums)
+    if count <= 2:
+        # Both parts are exact, so their one addition rounds the sum.
+        return scales @ sums
+    # Balanced carries leave every limb below the top in [-2^(w-1), 2^(w-1)],
+    # so each part is below the lowest set bit of any nonzero part above it.
+    unit = scales[1] / scales[0]
+    for k in range(count - 1):
+        carry = np.rint(sums[k] / unit)
+        sums[k] -= carry * unit
+        sums[k + 1] += carry
+    parts = sums * scales[:, None]
+    # As at the end of math.fsum: add the parts high to low while each sum is
+    # exact. The first inexact one leaves hi + lo, |lo| <= ulp(hi) / 2, and
+    # the parts below it (the tail) only matter at a tie, where a tail of
+    # lo's sign means rounding away from hi.
+    hi = parts[-1]
+    lo = tail = np.zeros_like(hi)
+    for part in parts[-2::-1]:
+        exact = lo == 0
+        tail = tail + np.where(exact, 0.0, part)
+        total = hi + np.where(exact, part, 0.0)
+        lo = np.where(exact, part - (total - hi), lo)
+        hi = total
+    away = hi + 2 * lo
+    tie = (np.sign(tail) == np.sign(lo)) & (away - hi == 2 * lo)
+    return np.where(tie, away, hi)
 
 
 class SOUGame(Game):
@@ -145,26 +210,51 @@ class SOUGame(Game):
             if a[0] < 0 or a[-1] >= n:
                 raise ValueError("unanimity subset index out of range")
         self.coefficients = np.asarray(coefficients, dtype=float)
+        if not np.isfinite(self.coefficients).all():
+            raise ValueError("non-finite unanimity coefficient")
+        # The kernel keeps the subsets sorted by size: _cut[p] counts those a
+        # coalition of p players can contain, a prefix of that order.
+        sizes = np.array([len(a) for a in self.subsets])
+        order = np.argsort(sizes, kind="stable")
         member = np.zeros((len(self.subsets), n), dtype=bool)
-        for j, a in enumerate(self.subsets):
-            member[j, a] = True
+        for j, i in enumerate(order):
+            member[j, self.subsets[i]] = True
         self._bits = _pack_masks(member)  # (words, subsets)
+        self._cut = np.searchsorted(sizes[order], np.arange(n + 1), side="right")
+        self._limbs, self._scales = _exact_limbs(self.coefficients[order])
+        self._block_rows = max(1, _SOU_CHUNK_ENTRIES // self._bits.size)
         self._seed = None  # set by sou_generate for serialization
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        # A subset is contained when each of its words survives the AND with
-        # the coalition's word; the word axis comes first so that one
-        # reduction over it serves every n. The final sum runs once over the
-        # whole batch: BLAS sums depend on the row count, and per-chunk sums
-        # would move the last bits of the results.
-        words = _pack_masks(masks)[:, :, None]
-        bits = self._bits[:, None, :]
-        contained = np.empty((len(masks), len(self.subsets)), dtype=bool)
-        step = max(1, _SOU_CHUNK_ENTRIES // self._bits.size)
-        for lo in range(0, len(masks), step):
-            block = words[:, lo : lo + step]
-            np.all((block & bits) == bits, axis=0, out=contained[lo : lo + step])
-        return contained @ self.coefficients
+        # A subset is contained when none of its bits falls in a hole of the
+        # coalition. Each row's limb sums are exact, so its value depends on
+        # neither its block nor its batch nor the BLAS. A batch of several
+        # blocks is ordered by popcount, and each block is tested only
+        # against the subsets no larger than its largest coalition.
+        rows = len(masks)
+        words = _pack_masks(masks)
+        sums = np.empty((len(self._scales), rows))
+        step = self._block_rows
+        order = None
+        if rows > step:
+            counts = _popcounts(words)
+            order = np.argsort(counts, kind="stable")
+            words, counts = words[:, order], counts[order]
+        holes = ~words
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            cut = len(self.subsets) if order is None else self._cut[counts[hi - 1]]
+            missing = self._bits[:, None, :cut] & holes[:, lo:hi, None]
+            # The reduction over one word would only copy it.
+            missing = np.bitwise_or.reduce(missing, axis=0) if len(missing) > 1 else missing[0]
+            contained = (missing == 0).astype(float)
+            np.matmul(self._limbs[:, :cut], contained.T, out=sums[:, lo:hi])
+        values = _round_limb_sums(sums, self._scales)
+        if order is None:
+            return values
+        out = np.empty(rows)
+        out[order] = values
+        return out
 
     def exact_shapley_vector(self) -> np.ndarray:
         """Closed-form Shapley values: player i gets coefficient/|subset| from

@@ -383,6 +383,18 @@ class TestBadRegressionCsv:
         assert capsys.readouterr().err.startswith("config error: game:")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_sou_coefficient_exit_code(tmp_path, capsys, value):
+    # json.load reads NaN and Infinity; the game rejects them as config errors.
+    game = {"type": "sou_explicit", "n": 4, "subsets": [[0], [1, 2], [3]],
+            "coefficients": [1.0, float(value), 0.5]}
+    payload = bench_payload(game=game, groups={"rule": "mod", "k": 2})
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    rc = cli.main(["bench", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: game: non-finite")
+
+
 class TestAttackCommand:
     def payload(self, **overrides):
         p = {

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,12 +44,12 @@ def brute_force_sv(game, i):
 
 def _every_game(n):
     """One game of every type on n >= 4 players, by name, each with whether its
-    kernel is bitwise batch-invariant. SOU and regression are not: they sum
-    through BLAS, which picks its accumulation order by the row count."""
+    kernel is bitwise batch-invariant. Regression is not: it sums through
+    BLAS, which picks its accumulation order by the row count."""
     size_only = SizeOnlyGame(n, SIZE_UTILITIES["log1p"])
     sou = sou_generate(n, 25, 9)
     games = {
-        "sou": (sou, False),
+        "sou": (sou, True),
         "size_only": (size_only, True),
         "intersection": (IntersectionSizeGame(
             n, [1, n - 1], lambda s1, s: math.sqrt(s1 + 1) / (s + 1)), True),
@@ -56,10 +57,10 @@ def _every_game(n):
         "null_augmented": (augment_with_null(SizeOnlyGame(n, SIZE_UTILITIES["sqrt"]), 3),
                            True),
     }
-    # The axiom checker's witness games, over an invariant and a BLAS base.
+    # The axiom checker's witness games, over two invariant bases.
     for tag, base, other, bitwise in [
         ("size_only", size_only, SizeOnlyGame(n, SIZE_UTILITIES["cubic"]), True),
-        ("sou", sou, sou_generate(n, 25, 10), False),
+        ("sou", sou, sou_generate(n, 25, 10), True),
     ]:
         games[f"transform_{tag}"] = (_MaskTransformGame(base, _reverse_players), bitwise)
         games[f"combo_{tag}"] = (_ComboGame([(0.7, base), (-1.3, other)]), bitwise)
@@ -142,11 +143,13 @@ class TestEvaluate:
                 np.testing.assert_allclose(part, whole[idx], rtol=1e-13, atol=atol,
                                            err_msg=name)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the SOU and regression kernels end in BLAS gemv/gemm sums, whose "
-        "accumulation order depends on the row count, so a one-row batch can "
-        "differ from the same row in a larger batch in the last bit"))
-    @pytest.mark.parametrize("kind", ["sou", "regression"])
+    @pytest.mark.parametrize("kind", [
+        "sou",
+        pytest.param("regression", marks=pytest.mark.xfail(strict=True, reason=(
+            "the regression kernel ends in BLAS gemm sums, whose accumulation "
+            "order depends on the row count, so a one-row batch can differ "
+            "from the same row in a larger batch in the last bit"))),
+    ])
     def test_one_row_batches_bitwise(self, kind):
         rng = np.random.default_rng(0)
         if kind == "sou":
@@ -194,15 +197,32 @@ class TestSouGenerate:
             sou_generate(5, 0, 0)
 
 
-def _random_sou(n, d, rng):
+def _random_sou(n, d, rng, coefficients="uniform"):
     """SOU game with a mix of small and arbitrary-size subsets, so random
-    coalitions contain some of them."""
+    coalitions contain some of them. Coefficients are uniform on [0, 1),
+    ``signed`` (normal, a fifth of them zero) or ``wide`` (signed, magnitudes
+    2^-300 to 2^300, which needs more than two limbs)."""
     subsets = []
     for j in range(d):
         top = n if j % 2 else min(n, 3)
         size = int(rng.integers(1, top + 1))
         subsets.append(rng.choice(n, size=size, replace=False))
-    return SOUGame(n, subsets, rng.random(d))
+    if coefficients == "uniform":
+        coefs = rng.random(d)
+    elif coefficients == "signed":
+        coefs = rng.standard_normal(d) * (rng.random(d) >= 0.2)
+    else:
+        coefs = rng.choice([-1.0, 1.0], d) * rng.random(d) * 2.0 ** rng.integers(-300, 300, d)
+    return SOUGame(n, subsets, coefs)
+
+
+def _fsum_reference(g, masks):
+    """The correctly rounded sum of the coefficients of the subsets each row
+    contains, by index-set containment."""
+    contained = np.zeros((len(masks), len(g.subsets)), dtype=bool)
+    for j, a in enumerate(g.subsets):
+        contained[:, j] = masks[:, a].all(axis=1)
+    return np.array([math.fsum(g.coefficients[row]) for row in contained])
 
 
 def _random_masks(n, batch, rng):
@@ -219,31 +239,72 @@ def _random_masks(n, batch, rng):
 
 
 class TestSouKernel:
-    """The bit-packed batched kernel against the float containment formula it
-    replaced (bit for bit) and an index-set containment reference."""
+    """The bit-packed, size-sorted, blocked kernel against ``math.fsum`` of the
+    coefficients each row collects, bit for bit: its limb sums are exact, so
+    neither the block, the batch, the row order nor the BLAS may change a
+    value."""
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 130])
     @pytest.mark.parametrize("batch", [0, 1, 255, 256, 257, 600])
     @settings(max_examples=4, deadline=None)
-    @given(d=st.sampled_from([1, 5, 40, 4096]), seed=st.integers(0, 2**32 - 1))
-    def test_matches_references(self, n, batch, d, seed):
+    @given(d=st.sampled_from([1, 5, 40, 4096]),
+           coefficients=st.sampled_from(["uniform", "signed", "wide"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_references(self, n, batch, d, coefficients, seed):
         rng = np.random.default_rng(seed)
-        g = _random_sou(n, d, rng)
+        g = _random_sou(n, d, rng, coefficients)
         masks = _random_masks(n, batch, rng)
         got = g._values(masks)
-
-        member = np.zeros((d, n))
-        for j, a in enumerate(g.subsets):
-            member[j, a] = 1.0
-        sizes = member.sum(axis=1)
-        old = ((masks.astype(float) @ member.T) == sizes) @ g.coefficients
         assert got.shape == (batch,)
-        assert np.array_equal(got, old)
+        assert np.array_equal(got, _fsum_reference(g, masks))
 
-        ref = np.zeros(batch)
-        for a, alpha in zip(g.subsets, g.coefficients):
-            ref += alpha * masks[:, a].all(axis=1)
-        assert got == pytest.approx(ref, rel=1e-12)
+    def test_wide_spread_over_blocks(self):
+        rng = np.random.default_rng(4)
+        g = _random_sou(64, 4096, rng, "wide")
+        masks = _random_masks(64, 300, rng)
+        assert len(g._scales) >= 3 and len(masks) > 10 * g._block_rows
+        assert np.array_equal(g._values(masks), _fsum_reference(g, masks))
+
+    def test_ties_across_limbs(self):
+        # 1 + 2^-53 lies halfway between two doubles; the parts far below it
+        # decide the rounding, which a sum of the limbs high to low misses.
+        coefs = [1.0, 2.0**-53, 2.0**-150, -(2.0**-200), -(2.0**-53), 3 * 2.0**-54]
+        g = SOUGame(6, [[j] for j in range(6)], coefs)
+        masks = np.array(list(itertools.product([False, True], repeat=6)))
+        assert len(g._scales) >= 3
+        assert np.array_equal(g._values(masks), _fsum_reference(g, masks))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_row_permutation(self, seed):
+        # Few distinct popcounts over many blocks: the popcount order breaks
+        # its many ties by position, and no value may depend on that.
+        rng = np.random.default_rng(seed)
+        g = _random_sou(64, 4096, rng, "signed")
+        sizes = rng.choice([2, 3, 40, 63], size=200)
+        masks = rng.random((200, 64)).argsort(axis=1) < sizes[:, None]
+        assert len(masks) > 10 * g._block_rows
+        got = g.evaluate_masks(masks)
+        perm = rng.permutation(len(masks))
+        assert np.array_equal(g.evaluate_masks(masks[perm]), got[perm])
+        assert np.array_equal(got, _fsum_reference(g, masks))
+
+    def test_memory_stays_within_blocks(self):
+        # No (batch, d) array: the old kernel peaked at ~74 MB here.
+        g = sou_generate(64, 4096, 0)
+        masks = _random_masks(64, 2000, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            g.evaluate_masks(masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            SOUGame(3, [[0], [1, 2]], [1.0, value])
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 130])
     def test_empty_and_full_coalitions(self, n):
