@@ -11,13 +11,16 @@ valuations.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .exact import (
     Partition,
-    exact_faithful_group_shapley,
+    _all_masks,
+    _shapley_weights,
     exact_group_shapley,
+    exact_shapley_values,
 )
 from .games import Game
 
@@ -83,15 +86,13 @@ def expected_gsv(ubar, group_sizes, k: int) -> float:
     if not (0 <= k < len(sizes)):
         raise ValueError("group index out of range")
     s_k = sizes[k]
-    others = [s for j, s in enumerate(sizes) if j != k]
-    K = len(others)
-    total = 0.0
-    for bits in range(1 << K):
-        ssum = sum(s for j, s in enumerate(others) if (bits >> j) & 1)
-        m = bin(bits).count("1")
-        log_w = math.lgamma(m + 1) + math.lgamma(K - m + 1) - math.lgamma(K + 2)
-        total += math.exp(log_w) * (ubar(ssum + s_k) - ubar(ssum))
-    return total
+    others = np.array([s for j, s in enumerate(sizes) if j != k], dtype=np.int64)
+    selected = _all_masks(len(others))
+    # ubar is called once per distinct size of the other groups' union.
+    totals, inverse = np.unique(selected @ others, return_inverse=True)
+    gains = np.array([ubar(int(t) + s_k) - ubar(int(t)) for t in totals], dtype=float)
+    weights = _shapley_weights(len(others) + 1)[selected.sum(axis=1)]
+    return float(weights @ gains[inverse])
 
 
 def size_only_fgsv(ubar, n: int, group_size: int) -> float:
@@ -152,9 +153,11 @@ def _valuations_size_only(ubar, sizes, n):
     return gsv, fgsv
 
 
-def _valuations_game(game, partition):
+def _valuations_game(game, sv, partition):
+    """Exact group values; ``sv`` is the game's Shapley vector, which serves
+    every partition since individual values do not depend on it."""
     gsv = [exact_group_shapley(game, partition, k) for k in range(len(partition))]
-    fgsv = [exact_faithful_group_shapley(game, g) for g in partition.groups]
+    fgsv = [float(sv[list(g)].sum()) for g in partition.groups]
     return gsv, fgsv
 
 
@@ -186,9 +189,10 @@ def run_attack(source, base_partition: Partition, schedules) -> AttackReport:
         if game.n > ATTACK_GAME_CAP:
             raise ValueError(f"exact attack comparison capped at n <= {ATTACK_GAME_CAP}")
         prudent, violation = False, None
+        sv = exact_shapley_values(game)
 
         def valuations(partition):
-            return _valuations_game(game, partition)
+            return _valuations_game(game, sv, partition)
 
     target = schedules[0].target_group if schedules else 0
     rows: list[AttackRow] = []

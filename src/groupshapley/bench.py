@@ -239,12 +239,11 @@ def compute_truth(config: BenchConfig, game: Game, partition: Partition):
     elif source == "reference":
         if "reference_budget" not in config.truth:
             raise ConfigError("truth.source=reference needs truth.reference_budget")
-        ref_game = game.counting_view()
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(0xFEED,))
         )
         sv = baselines.permutation_estimator(
-            ref_game, config.truth["reference_budget"], rng).values
+            game, config.truth["reference_budget"], rng).values
     else:
         raise ConfigError(f"unknown truth source {source!r}")
     truths = [float(sv[list(g)].sum()) for g in partition.groups]
@@ -276,12 +275,11 @@ def fgsv_config_for(n: int, s0: int, per_group_budget: int, method: dict) -> Est
     return cfg
 
 
-def _run_cell(config: BenchConfig, base: Game, partition: Partition, rep: int,
+def _run_cell(config: BenchConfig, game: Game, partition: Partition, rep: int,
               method_index: int, method: dict):
-    """One (replication, method) run on its own counting view of the shared
-    game; returns one row dict per group."""
+    """One (replication, method) run on the shared game; returns one row dict
+    per group."""
     name = method["name"]
-    game = base.counting_view()
     rng = _rng_for(config.seed, rep, method_index)
     groups = partition.groups
     rows = []
@@ -339,8 +337,8 @@ def _fmt(x) -> str:
 def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     """Runs the full grid and writes results.csv and summary.csv in out_dir.
 
-    The game is built once; every cell evaluates it through its own counting
-    view. Rows appear in (replication, method, group) order regardless of the
+    The game is built once and every cell evaluates it; each run counts the
+    rows its own plan sends. Rows appear in (replication, method, group) order regardless of the
     thread count; group ids are 1-based in the output.
     """
     os.makedirs(out_dir, exist_ok=True)

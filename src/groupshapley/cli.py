@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .attacks import SplitSchedule, run_attack
+from .attacks import ATTACK_GAME_CAP, SplitSchedule, run_attack
 from .baselines import NumericError
 from .bench import (
     BenchConfig,
@@ -36,14 +37,15 @@ from .bench import (
     run_benchmark,
 )
 from .exact import (
+    DEFAULT_CAP,
     Partition,
     check_axioms,
-    exact_faithful_group_shapley,
     exact_group_shapley,
+    exact_shapley_values,
     fgsv_valuation,
     gsv_valuation,
 )
-from .games import SIZE_UTILITIES
+from .games import SIZE_UTILITIES, Game
 
 log = logging.getLogger("groupshapley")
 
@@ -65,6 +67,12 @@ def _cmd_bench(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
     return EXIT_OK
 
 
+def _check_players(game: Game, cap: int, what: str) -> None:
+    """Rejects a game too large for an exact enumeration of 2^n coalitions."""
+    if game.n > cap:
+        raise ConfigError(f"game: {what} needs n <= {cap}, got n = {game.n}")
+
+
 def _attack_partition(cfg: dict):
     """Returns (source, base_partition) from an attack config."""
     if ("ubar" in cfg) == ("game" in cfg):
@@ -83,6 +91,7 @@ def _attack_partition(cfg: dict):
             pos += s
         return SIZE_UTILITIES[name], Partition(groups, n=pos)
     game = build_game(cfg["game"])
+    _check_players(game, ATTACK_GAME_CAP, "attack")
     partition = partition_from_spec(cfg["groups"], game.n)
     return game, partition
 
@@ -135,17 +144,22 @@ def _cmd_axioms(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
     allowed = {"schema_version", "game", "method", "partitions", "tol"}
     _require_keys(cfg, allowed, {"schema_version", "game", "method", "partitions"},
                   "config")
-    game = build_game(cfg["game"])
     method = cfg["method"]
     if method not in ("fgsv", "gsv"):
         raise ConfigError(f"method must be 'fgsv' or 'gsv', got {method!r}")
+    tol = cfg.get("tol", 1e-10)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
+    game = build_game(cfg["game"])
+    if method == "fgsv":
+        _check_players(game, DEFAULT_CAP, "axioms with method fgsv")
     specs = cfg["partitions"]
     if not isinstance(specs, list) or not specs:
         raise ConfigError("partitions must be a non-empty list")
     partitions = [partition_from_spec(sp, game.n, f"partitions[{i}]")
                   for i, sp in enumerate(specs)]
     valuation = fgsv_valuation if method == "fgsv" else gsv_valuation
-    report = check_axioms(valuation, game, partitions, tol=float(cfg.get("tol", 1e-10)))
+    report = check_axioms(valuation, game, partitions, tol=float(tol))
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "axioms.json")
@@ -163,7 +177,9 @@ def _cmd_exact(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
     _require_keys(cfg, {"schema_version", "game", "groups"},
                   {"schema_version", "game", "groups"}, "config")
     game = build_game(cfg["game"])
+    _check_players(game, DEFAULT_CAP, "exact")
     partition = partition_from_spec(cfg["groups"], game.n)
+    sv = exact_shapley_values(game)
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "exact.csv")
@@ -171,7 +187,7 @@ def _cmd_exact(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
         writer = csv.writer(fh)
         writer.writerow(["group_id", "size", "fgsv", "gsv"])
         for k, g in enumerate(partition.groups):
-            fgsv = exact_faithful_group_shapley(game, g)
+            fgsv = float(sv[list(g)].sum())
             gsv = exact_group_shapley(game, partition, k)
             writer.writerow([k + 1, len(g), _fmt(fgsv), _fmt(gsv)])
             log.info("group %d: fgsv=%.10g gsv=%.10g", k + 1, fgsv, gsv)

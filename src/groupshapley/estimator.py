@@ -91,18 +91,19 @@ def _size_plan(n: int, s0: int, size_threshold: int):
 def _mean_utility(
     game: Game, members: np.ndarray, s: int, s1: int, samples: int,
     rng: np.random.Generator, exhaustive: bool,
-) -> tuple[float, float]:
-    """Mean utility over one (size, overlap) family and the variance of that
-    mean, which is zero when the family is enumerated."""
+) -> tuple[float, float, int]:
+    """Mean utility over one (size, overlap) family, the variance of that
+    mean, which is zero when the family is enumerated, and the number of
+    evaluations spent."""
     n, s0 = game.n, len(members)
     _check_feasible(n, s0, s, s1)
     if exhaustive and log_family_size(n, s0, s, s1) <= math.log(samples):
         masks = _family_masks(n, members, s, s1)
-        return float(game.evaluate_masks(masks).mean()), 0.0
+        return float(game.evaluate_masks(masks).mean()), 0.0, len(masks)
     masks = sample_subsets_with_intersection(rng, n, members, s, s1, samples)
     utils = game.evaluate_masks(masks)
     var = float(utils.var(ddof=1)) if samples > 1 else 0.0
-    return float(utils.mean()), var / samples
+    return float(utils.mean()), var / samples, samples
 
 
 def estimate_mean_utility(
@@ -128,14 +129,12 @@ def estimate_mean_utility_gap(
     s1: int,
     samples: int,
     rng: np.random.Generator,
-    return_variance: bool = False,
-):
+) -> float:
     """Paired Monte Carlo estimate of the change in conditional mean utility
     when one more member replaces a non-member: averages
     U(S ∪ {member}) - U(S ∪ {non-member}) over shared base subsets S."""
     members = _member_indices(members, game.n)
-    mean, var = _mean_utility_gap(game, members, s, s1, samples, rng)
-    return (mean, var) if return_variance else mean
+    return _mean_utility_gap(game, members, s, s1, samples, rng)[0]
 
 
 def _mean_utility_gap(
@@ -177,30 +176,28 @@ def _run_plan(
     pair_game: Game,
 ) -> GroupValueEstimate:
     """Runs the size plan: the efficiency endpoints and the grid cells on
-    ``game``, the paired differences on ``pair_game``. Both must count their
-    evaluations on ``game``'s counter."""
+    ``game``, the paired differences on ``pair_game``. The run counts the
+    rows it sends, so other users of either game do not change its count."""
     n = game.n
     members = _member_indices(members, n)
     s0 = len(members)
     recorder = Recorder(config.checkpoint_interval)
-    start = game.eval_counter
 
     if s0 == 0:
         return GroupValueEstimate(0.0, np.zeros(max(n - 1, 0)), 0, recorder.curve)
 
     u_full = game.evaluate(range(n))
     u_empty = game.evaluate([])
+    used = 2
     if s0 == n:
         value = u_full - u_empty
-        recorder.update(game.eval_counter - start, value)
-        return GroupValueEstimate(
-            value, np.zeros(n - 1), game.eval_counter - start, recorder.curve
-        )
+        recorder.update(used, value)
+        return GroupValueEstimate(value, np.zeros(n - 1), used, recorder.curve)
 
     config.validate(n)
     alpha0 = s0 / n
     running = alpha0 * (u_full - u_empty)
-    recorder.update(game.eval_counter - start, running)
+    recorder.update(used, running)
     per_size = np.zeros(n - 1)
     variance_total = 0.0
 
@@ -209,30 +206,28 @@ def _run_plan(
             gap, var = _mean_utility_gap(
                 pair_game, members, s, s1, config.pair_samples, rng
             )
+            used += 2 * config.pair_samples
             coef = (n / (n - 1)) * alpha0 * (1 - alpha0)
             term = coef * gap
             variance_total += (coef**2) * var / config.pair_samples
-            recorder.update(game.eval_counter - start, running + term)
+            recorder.update(used, running + term)
         else:
             term = 0.0
             for cell_s1, p in enumerate(probs, start=s1):
-                mu, mu_var = _mean_utility(
+                mu, mu_var, spent = _mean_utility(
                     game, members, s, cell_s1, config.grid_samples, rng,
                     config.exhaustive_small_sizes,
                 )
+                used += spent
                 weight = p * (n / (n - s)) * (cell_s1 / s - alpha0)
                 term += weight * mu
                 variance_total += weight**2 * mu_var
-                recorder.update(game.eval_counter - start, running + term)
+                recorder.update(used, running + term)
         per_size[s - 1] = term
         running += term
 
     return GroupValueEstimate(
-        running,
-        per_size,
-        game.eval_counter - start,
-        recorder.curve,
-        std_error=math.sqrt(variance_total),
+        running, per_size, used, recorder.curve, std_error=math.sqrt(variance_total)
     )
 
 

@@ -7,7 +7,6 @@ so no game caches utilities.
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 import threading
@@ -43,6 +42,8 @@ class Game:
 
     @property
     def eval_counter(self) -> int:
+        """Evaluations of this game by all callers so far; the lock keeps the
+        count exact when threads share the game."""
         return self._evals
 
     def _count(self, k: int) -> None:
@@ -83,15 +84,6 @@ class Game:
         self._count(len(masks))
         return self._values(masks)
 
-    def counting_view(self) -> "Game":
-        """Shallow copy that shares the utility data but has its own zeroed
-        evaluation counter, so concurrent runs can each count their own
-        evaluations of one game."""
-        view = copy.copy(self)
-        view._evals = 0
-        view._lock = threading.Lock()
-        return view
-
     def _values(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -104,18 +96,12 @@ class Game:
             f"{type(self).__name__} does not support synthetic augmentation"
         )
 
-    def to_config(self) -> dict:
-        raise NotImplementedError(f"{type(self).__name__} is not serializable")
-
 
 # Entries of one (words, rows, subsets) block of the SOU kernel. 2^15
 # uint64 words keep each block's temporaries near 256 KB, inside a core's L2
 # cache, and keep each block's limb matmul small (8 rows x 4096 subsets x 2
 # limbs at n=64, d=4096) so that OpenBLAS runs it on one thread.
 _SOU_CHUNK_ENTRIES = 1 << 15
-
-# Set bits of every byte value.
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
 
 
 def _pack_masks(masks: np.ndarray) -> np.ndarray:
@@ -126,12 +112,6 @@ def _pack_masks(masks: np.ndarray) -> np.ndarray:
     packed = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
     packed[:, : -(-n // 8)] = np.packbits(masks, axis=1, bitorder="little")
     return np.ascontiguousarray(packed.view(np.uint64).T)
-
-
-def _popcounts(words: np.ndarray) -> np.ndarray:
-    """Set bits of each column of (words, rows) packed masks."""
-    per_byte = _BYTE_POPCOUNT[words.view(np.uint8)]
-    return per_byte.reshape(len(words), -1, 8).sum(axis=(0, 2))
 
 
 def _exact_limbs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +203,6 @@ class SOUGame(Game):
         self._cut = np.searchsorted(sizes[order], np.arange(n + 1), side="right")
         self._limbs, self._scales = _exact_limbs(self.coefficients[order])
         self._block_rows = max(1, _SOU_CHUNK_ENTRIES // self._bits.size)
-        self._seed = None  # set by sou_generate for serialization
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         # A subset is contained when none of its bits falls in a hole of the
@@ -237,7 +216,7 @@ class SOUGame(Game):
         step = self._block_rows
         order = None
         if rows > step:
-            counts = _popcounts(words)
+            counts = masks.sum(axis=1)
             order = np.argsort(counts, kind="stable")
             words, counts = words[:, order], counts[order]
         holes = ~words
@@ -264,16 +243,6 @@ class SOUGame(Game):
             out[a] += alpha / len(a)
         return out
 
-    def to_config(self) -> dict:
-        if self._seed is not None:
-            return {"type": "sou", "n": self.n, "d": len(self.subsets), "seed": self._seed}
-        return {
-            "type": "sou_explicit",
-            "n": self.n,
-            "subsets": [a.tolist() for a in self.subsets],
-            "coefficients": self.coefficients.tolist(),
-        }
-
 
 def sou_generate(n: int, d: int, seed) -> SOUGame:
     """Random sum-of-unanimity game: each tracked subset gets a size uniform on
@@ -290,18 +259,15 @@ def sou_generate(n: int, d: int, seed) -> SOUGame:
         members = rng.choice(n, size=size, replace=False)
         subsets.append(np.sort(members))
         coefs.append(float(weights[members].mean()))
-    game = SOUGame(n, subsets, coefs)
-    game._seed = int(seed) if isinstance(seed, (int, np.integer)) else None
-    return game
+    return SOUGame(n, subsets, coefs)
 
 
 class SizeOnlyGame(Game):
     """Utility depending on coalition size only: U(S) = size_utility(|S|)."""
 
-    def __init__(self, n: int, size_utility: Callable[[int], float], name: str | None = None):
+    def __init__(self, n: int, size_utility: Callable[[int], float]):
         super().__init__(n)
         self.size_utility = size_utility
-        self.name = name
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         sizes, inverse = np.unique(masks.sum(axis=1), return_inverse=True)
@@ -310,11 +276,6 @@ class SizeOnlyGame(Game):
     # Null items only inflate the coalition size here.
     def _padded_value(self, mask: np.ndarray, pad: int, rng, null_sampler=None) -> float:
         return float(self.size_utility(int(mask.sum()) + pad))
-
-    def to_config(self) -> dict:
-        if self.name is None:
-            raise NotImplementedError("size-only game without a registered name")
-        return {"type": "size_only", "n": self.n, "name": self.name}
 
 
 class IntersectionSizeGame(Game):
@@ -472,13 +433,6 @@ class NullAugmentedGame(Game):
     def _count(self, k: int) -> None:
         self.base._count(k)
 
-    def counting_view(self) -> "Game":
-        """Wrapper over a counting view of the base, so the view counts on a
-        fresh counter of its own."""
-        view = copy.copy(self)
-        view.base = self.base.counting_view()
-        return view
-
     def _values(self, masks: np.ndarray) -> np.ndarray:
         # Rows at or above the threshold go to the base kernel as one batch.
         # The rest are padded one at a time in row order, so the null draws
@@ -554,7 +508,7 @@ SIZE_UTILITIES: dict[str, Callable[[int], float]] = {
 
 
 def game_from_config(cfg: dict) -> Game:
-    """Rebuilds a game from its JSON-friendly description."""
+    """Builds a game from its JSON-friendly description."""
     kind = cfg.get("type")
     if kind == "sou":
         return sou_generate(int(cfg["n"]), int(cfg["d"]), cfg["seed"])
@@ -564,7 +518,7 @@ def game_from_config(cfg: dict) -> Game:
         name = cfg["name"]
         if name not in SIZE_UTILITIES:
             raise ValueError(f"unknown size-utility name {name!r}")
-        return SizeOnlyGame(int(cfg["n"]), SIZE_UTILITIES[name], name=name)
+        return SizeOnlyGame(int(cfg["n"]), SIZE_UTILITIES[name])
     if kind == "regression_csv":
         return load_regression_csv(
             cfg["path"], float(cfg["test_fraction"]), float(cfg["lambda"]), cfg["seed"]

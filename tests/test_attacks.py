@@ -41,7 +41,32 @@ class TestPrudence:
         assert where == 2  # third difference needs s+3 <= 4 to stay positive
 
 
+def expected_gsv_loop(ubar, sizes, k):
+    """Reference: the weighted sum over every coalition of the other groups,
+    one coalition at a time."""
+    s_k = sizes[k]
+    others = [s for j, s in enumerate(sizes) if j != k]
+    K = len(others)
+    total = 0.0
+    for bits in range(1 << K):
+        ssum = sum(s for j, s in enumerate(others) if (bits >> j) & 1)
+        m = bin(bits).count("1")
+        log_w = math.lgamma(m + 1) + math.lgamma(K - m + 1) - math.lgamma(K + 2)
+        total += math.exp(log_w) * (ubar(ssum + s_k) - ubar(ssum))
+    return total
+
+
 class TestExpectedGsv:
+    @pytest.mark.parametrize("name", sorted(SIZE_UTILITIES))
+    def test_matches_reference_loop(self, name):
+        ubar = SIZE_UTILITIES[name]
+        rng = np.random.default_rng(len(name))
+        for groups in (1, 2, 5, 12):
+            sizes = rng.integers(1, 6, size=groups).tolist()
+            for k in range(groups):
+                assert expected_gsv(ubar, sizes, k) == pytest.approx(
+                    expected_gsv_loop(ubar, sizes, k), rel=1e-12, abs=0)
+
     def test_hand_value(self):
         assert expected_gsv(SAT2, [1, 2], 1) == pytest.approx(0.5625, abs=1e-12)
 

@@ -395,6 +395,51 @@ def test_non_finite_sou_coefficient_exit_code(tmp_path, capsys, value):
     assert capsys.readouterr().err.startswith("config error: game: non-finite")
 
 
+class TestConfigMistakes:
+    """Mistakes in axioms, exact and attack configs that the library would
+    raise as ValueError, or read as nonsense, are config errors (exit 2): a
+    tolerance that is not a finite non-negative JSON number, and a game too
+    large for exact enumeration."""
+
+    @staticmethod
+    def sou(n):
+        return {"type": "sou", "n": n, "d": 8, "seed": 1}
+
+    def axioms(self, n=8, **extra):
+        return {"schema_version": 1, "game": self.sou(n), "method": "fgsv",
+                "partitions": [{"rule": "mod", "k": 2}], **extra}
+
+    CASES = [
+        ("axioms", "tol_string", "tol must be a finite number >= 0, got 'abc'"),
+        ("axioms", "tol_bool", "tol must be a finite number >= 0, got True"),
+        ("axioms", "tol_nan", "tol must be a finite number >= 0, got nan"),
+        ("axioms", "fgsv_n22", "game: axioms with method fgsv needs n <= 20, got n = 22"),
+        ("exact", "n24", "game: exact needs n <= 20, got n = 24"),
+        ("attack", "game_n18", "game: attack needs n <= 16, got n = 18"),
+    ]
+
+    @pytest.mark.parametrize("command,case,message", CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in CASES])
+    def test_exit_code(self, tmp_path, capsys, command, case, message):
+        payload = {
+            "tol_string": self.axioms(tol="abc"),
+            "tol_bool": self.axioms(tol=True),
+            "tol_nan": self.axioms(tol=float("nan")),
+            "fgsv_n22": self.axioms(n=22),
+            "n24": {"schema_version": 1, "game": self.sou(24),
+                    "groups": {"rule": "mod", "k": 2}},
+            "game_n18": {"schema_version": 1, "game": self.sou(18),
+                         "groups": {"rule": "mod", "k": 3},
+                         "target_group": 0, "pieces": [2]},
+        }[case]
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
 class TestAttackCommand:
     def payload(self, **overrides):
         p = {

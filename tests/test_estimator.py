@@ -113,7 +113,9 @@ class TestEstimateGroupValue:
                 size_threshold=n, grid_samples=10**9, pair_samples=1,
                 exhaustive_small_sizes=True,
             )
+            before = g.eval_counter
             est = estimate_group_value(g, members, cfg, rng=rng)
+            assert est.evaluations_used == g.eval_counter - before
             assert est.value == pytest.approx(
                 exact_faithful_group_shapley(g, members), abs=1e-9
             )
@@ -256,7 +258,7 @@ class TestChooseParameters:
 class TestAugmentedEstimator:
     def test_size_only_exact(self):
         ubar = SIZE_UTILITIES["saturating2"]
-        g = SizeOnlyGame(10, ubar, name="saturating2")
+        g = SizeOnlyGame(10, ubar)
         est = estimate_group_value_augmented(
             g, [0, 1, 2, 3], B=5, samples=4, null_sampler=None,
             rng=np.random.default_rng(0),
@@ -265,7 +267,7 @@ class TestAugmentedEstimator:
                                           abs=1e-12)
 
     def test_evaluations_follow_all_paired_plan(self):
-        g = SizeOnlyGame(10, SIZE_UTILITIES["cubic"], name="cubic")
+        g = SizeOnlyGame(10, SIZE_UTILITIES["cubic"])
         est = estimate_group_value_augmented(
             g, [0, 1, 2], B=4, samples=7, null_sampler=None,
             rng=np.random.default_rng(0),
@@ -277,7 +279,7 @@ class TestAugmentedEstimator:
     def test_b_one_matches_unaugmented_distribution(self):
         # with B=1 the padding never fires, so a run equals the plain
         # single-pair-regime estimator under the same random stream
-        g = SizeOnlyGame(8, SIZE_UTILITIES["cubic"], name="cubic")
+        g = SizeOnlyGame(8, SIZE_UTILITIES["cubic"])
         aug = estimate_group_value_augmented(
             g, [0, 1, 2], B=1, samples=6, null_sampler=None,
             rng=np.random.default_rng(9),

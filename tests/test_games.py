@@ -8,6 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from groupshapley.estimator import (
+    EstimatorConfig,
+    estimate_group_value,
+    predicted_evaluations,
+)
 from groupshapley.exact import (
     _ComboGame,
     _MaskTransformGame,
@@ -183,12 +188,13 @@ class TestSouGenerate:
             assert alpha == pytest.approx(np.mean((a % 4) / 4), abs=1e-15)
 
     def test_numpy_integer_seed_serializes_as_seed(self):
-        g = sou_generate(8, 4, np.int64(3))
-        cfg = g.to_config()
-        assert cfg == {"type": "sou", "n": 8, "d": 4, "seed": 3}
-        assert type(cfg["seed"]) is int
-        g2 = game_from_config(cfg)
-        assert all((x == y).all() for x, y in zip(g.subsets, g2.subsets))
+        # A numpy-integer seed in a sou spec seeds the generator exactly as
+        # the equal Python int does.
+        g = game_from_config({"type": "sou", "n": 8, "d": 4, "seed": np.int64(3)})
+        ref = sou_generate(8, 4, 3)
+        _same_game(g, ref)
+        assert all((x == y).all() for x, y in zip(g.subsets, ref.subsets))
+        assert (g.coefficients == ref.coefficients).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -314,39 +320,27 @@ class TestSouKernel:
         assert full == pytest.approx(g.coefficients.sum(), rel=1e-12)
 
 
-class TestCountingView:
-    def test_shares_data_not_counter(self):
-        g = sou_generate(10, 30, 5)
-        g.evaluate([0, 1])
-        a, b = g.counting_view(), g.counting_view()
-        assert a.eval_counter == b.eval_counter == 0
-        assert a._bits is g._bits and b._bits is g._bits
-        assert a.subsets is g.subsets and a.coefficients is g.coefficients
-        assert a._lock is not g._lock and a._lock is not b._lock
-        masks = np.random.default_rng(0).random((7, 10)) < 0.6
-        assert np.array_equal(a.evaluate_masks(masks), g._values(masks))
-        b.evaluate([3])
-        assert (g.eval_counter, a.eval_counter, b.eval_counter) == (1, 7, 1)
+class TestSharedGame:
+    """Concurrent runs share one game: its counter is the running total of
+    all of them, and each run counts the rows its own plan sends."""
 
-    def test_threads_sharing_views_count_exactly(self):
-        # 8 threads on 4 views of one game, two threads per view, with
-        # frequent thread switches: every view must count every evaluation
-        # of its two threads and none of the others'.
+    def test_threads_count_exactly(self):
+        # 8 threads on one game, with frequent thread switches: the counter
+        # must count every evaluation of every thread.
         g = sou_generate(70, 200, 8)
-        views = [g.counting_view() for _ in range(4)]
         masks = np.random.default_rng(1).random((5, 70)) < 0.7
         want = g._values(masks)
         rounds, errors = 200, []
 
-        def work(view):
+        def work():
             for _ in range(rounds):
-                if not np.array_equal(view.evaluate_masks(masks), want):
+                if not np.array_equal(g.evaluate_masks(masks), want):
                     errors.append("values")
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(v,)) for v in views * 2]
+            threads = [threading.Thread(target=work) for _ in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -355,8 +349,57 @@ class TestCountingView:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert [v.eval_counter for v in views] == [2 * rounds * len(masks)] * 4
-        assert g.eval_counter == 0
+        assert g.eval_counter == 8 * rounds * len(masks)
+
+    def test_estimate_unaffected_by_concurrent_evaluations(self):
+        g = sou_generate(12, 40, 3)
+        members = [0, 4, 5, 9]
+        cfg = EstimatorConfig(size_threshold=4, grid_samples=6, pair_samples=6,
+                              checkpoint_interval=7)
+        alone = estimate_group_value(g, members, cfg, rng=np.random.default_rng(2))
+
+        # Before each batch of the run, another thread evaluates the same game
+        # once, so the game's counter moves between every two batches.
+        masks = np.random.default_rng(3).random((3, 12)) < 0.5
+        kernel, turn, back = g._values, threading.Semaphore(0), threading.Semaphore(0)
+        results, other = [], []
+
+        def values(m):
+            if threading.current_thread() is runner:
+                turn.release()
+                assert back.acquire(timeout=60)
+            return kernel(m)
+
+        def run():
+            results.append(estimate_group_value(
+                g, members, cfg, rng=np.random.default_rng(2)))
+
+        def evaluate_between_batches():
+            while turn.acquire(timeout=60) and runner.is_alive():
+                g.evaluate_masks(masks)
+                other.append(len(masks))
+                back.release()
+
+        g._values = values
+        runner = threading.Thread(target=run)
+        helper = threading.Thread(target=evaluate_between_batches)
+        before = g.eval_counter
+        helper.start()
+        runner.start()
+        runner.join(timeout=60)
+        turn.release()
+        helper.join(timeout=60)
+        assert not runner.is_alive() and not helper.is_alive()
+
+        (shared,) = results
+        assert len(other) == 2 + 9 + 2 * 7  # endpoints, grid cells, paired sizes
+        assert shared.value == alone.value
+        assert np.array_equal(shared.per_size_terms, alone.per_size_terms)
+        assert shared.std_error == alone.std_error
+        assert [c[:2] for c in shared.curve.checkpoints] == \
+            [c[:2] for c in alone.curve.checkpoints]
+        assert shared.evaluations_used == predicted_evaluations(12, 4, cfg)
+        assert g.eval_counter - before == shared.evaluations_used + sum(other)
 
 
 class TestSouClosedForm:
@@ -417,18 +460,6 @@ class TestAugmentation:
         g = SizeOnlyGame(4, lambda s: float(s))
         wrapped = augment_with_null(g, 7, rng=np.random.default_rng(0))
         assert wrapped.evaluate([0, 1, 2, 3]) == 7.0
-
-    def test_counting_view_counts_apart(self):
-        g = SizeOnlyGame(6, lambda s: float(s))
-        wrapped = augment_with_null(g, 3, rng=np.random.default_rng(0))
-        view = wrapped.counting_view()
-        assert view.base is not g and view.base.size_utility is g.size_utility
-        assert view.evaluate([0]) == 3.0
-        view.evaluate_masks(np.zeros((2, 6), dtype=bool))
-        assert view.eval_counter == 3
-        assert g.eval_counter == wrapped.eval_counter == 0
-        wrapped.evaluate([1])
-        assert (g.eval_counter, wrapped.eval_counter, view.eval_counter) == (1, 1, 3)
 
     def test_counts_on_base_counter(self):
         g = SizeOnlyGame(6, lambda s: float(s))
@@ -667,21 +698,34 @@ class TestLoadRegressionCsv:
         assert (g1.y_test == g2.y_test).all()
 
 
+def _same_game(a, b):
+    """Same type, same player count, bitwise the same utility everywhere."""
+    assert type(a) is type(b) and a.n == b.n
+    masks = np.random.default_rng(a.n).random((64, a.n)) < 0.5
+    assert np.array_equal(a.evaluate_masks(masks), b.evaluate_masks(masks))
+
+
 class TestSerialization:
+    """Each game spec builds the same game as the direct constructor."""
+
     def test_sou_round_trip(self):
-        g = sou_generate(8, 10, 55)
-        g2 = game_from_config(g.to_config())
-        assert (g2.coefficients == g.coefficients).all()
+        g = game_from_config({"type": "sou", "n": 8, "d": 10, "seed": 55})
+        ref = sou_generate(8, 10, 55)
+        _same_game(g, ref)
+        assert all((x == y).all() for x, y in zip(g.subsets, ref.subsets))
+        assert (g.coefficients == ref.coefficients).all()
 
-    def test_explicit_sou_round_trip(self):
-        g = SOUGame(4, [[0, 2]], [1.5])
-        g2 = game_from_config(g.to_config())
-        assert g2.evaluate([0, 2]) == 1.5
+    def test_sou_explicit_spec_matches_constructor(self):
+        spec = {"type": "sou_explicit", "n": 4, "subsets": [[0, 2], [1]],
+                "coefficients": [1.5, -0.25]}
+        g = game_from_config(spec)
+        _same_game(g, SOUGame(4, [[0, 2], [1]], [1.5, -0.25]))
+        assert g.evaluate([0, 2]) == 1.5
 
-    def test_size_only_round_trip(self):
-        g = SizeOnlyGame(5, SIZE_UTILITIES["cubic"], name="cubic")
-        g2 = game_from_config(g.to_config())
-        assert g2.evaluate([0, 1]) == 8.0
+    def test_size_only_spec_matches_constructor(self):
+        g = game_from_config({"type": "size_only", "n": 5, "name": "cubic"})
+        _same_game(g, SizeOnlyGame(5, SIZE_UTILITIES["cubic"]))
+        assert g.evaluate([0, 1]) == 8.0
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
