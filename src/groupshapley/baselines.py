@@ -125,10 +125,12 @@ def _run(schedule: _Schedule, draw, values, groups, checkpoint_interval,
 
 def _add_to_strata(sums, counts, masks, strata, v) -> None:
     """Adds v[t] to sums[i, strata[t]], and 1 to counts[i, strata[t]], for
-    every player i in row t of ``masks``."""
+    every player i in row t of ``masks``: one ``bincount`` per array on the
+    flat index, ~2x faster than ``np.add.at``."""
     t, i = np.nonzero(masks)
-    np.add.at(sums, (i, strata[t]), v[t])
-    np.add.at(counts, (i, strata[t]), 1)
+    flat = i * sums.shape[1] + strata[t]
+    sums += np.bincount(flat, weights=v[t], minlength=sums.size).reshape(sums.shape)
+    counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
 
 
 def _stratum_means(sums, counts) -> np.ndarray:
@@ -187,7 +189,8 @@ def group_testing_estimator(
         ext = sample_uniform_subsets(rng, n + 1, sizes, c)
         real = ext[:, :n]
         u = game.evaluate_masks(real)
-        colsums += real.T @ u
+        # Float masks let the product use BLAS; boolean ones do not.
+        colsums += u @ real.astype(float)
         dummysum += float(u[ext[:, n]].sum())
         rows += c
 
@@ -336,16 +339,18 @@ def _weighted_ls_estimator(
         masks = sample_uniform_subsets(rng, n, sizes, c)
         w = weight_fn(sizes)
         u1 = game.evaluate_masks(masks)
+        # Float masks let the products use BLAS; boolean ones do not.
+        incl = masks.astype(float)
         if paired:
-            comp = ~masks
-            u2 = game.evaluate_masks(comp)
+            u2 = game.evaluate_masks(~masks)
+            excl = 1.0 - incl
             if empirical_gram:
-                A_acc += masks.T @ (masks * w[:, None]) + comp.T @ (comp * w[:, None])
-            b_acc += masks.T @ (w * (u1 - u_empty)) + comp.T @ (w * (u2 - u_empty))
+                A_acc += incl.T @ (incl * w[:, None]) + excl.T @ (excl * w[:, None])
+            b_acc += (w * (u1 - u_empty)) @ incl + (w * (u2 - u_empty)) @ excl
         else:
             if empirical_gram:
-                A_acc += masks.T @ (masks * w[:, None])
-            b_acc += masks.T @ (w * (u1 - u_empty))
+                A_acc += incl.T @ (incl * w[:, None])
+            b_acc += (w * (u1 - u_empty)) @ incl
         draws += c
 
     def solve():

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .attacks import ATTACK_GAME_CAP, SplitSchedule, run_attack
+from .attacks import ATTACK_GAME_CAP, MAX_GROUPS, SplitSchedule, run_attack
 from .baselines import NumericError
 from .bench import (
     BenchConfig,
@@ -42,7 +42,7 @@ from .exact import (
     check_axioms,
     exact_group_shapley,
     exact_shapley_values,
-    fgsv_valuation,
+    fgsv_valuation_per_game,
     gsv_valuation,
 )
 from .games import SIZE_UTILITIES, Game
@@ -116,6 +116,11 @@ def _cmd_attack(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
                 f"cannot split a group of {group_size} into {p} pieces"
             )
         schedules.append(SplitSchedule(target, p))
+    if not isinstance(source, Game):
+        split_groups = len(partition) - 1 + max(sc.pieces for sc in schedules)
+        if split_groups > MAX_GROUPS:
+            raise ConfigError(f"attack with 'ubar' needs at most {MAX_GROUPS} groups, "
+                              f"got {split_groups} after the largest split")
     report = run_attack(source, partition, schedules)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -158,7 +163,12 @@ def _cmd_axioms(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
         raise ConfigError("partitions must be a non-empty list")
     partitions = [partition_from_spec(sp, game.n, f"partitions[{i}]")
                   for i, sp in enumerate(specs)]
-    valuation = fgsv_valuation if method == "fgsv" else gsv_valuation
+    if method == "gsv":
+        for i, part in enumerate(partitions):
+            if len(part) > DEFAULT_CAP:
+                raise ConfigError(f"partitions[{i}]: axioms with method gsv needs "
+                                  f"at most {DEFAULT_CAP} groups, got {len(part)}")
+    valuation = fgsv_valuation_per_game() if method == "fgsv" else gsv_valuation
     report = check_axioms(valuation, game, partitions, tol=float(tol))
 
     os.makedirs(out_dir, exist_ok=True)

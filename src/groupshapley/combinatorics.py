@@ -90,13 +90,44 @@ def _member_indices(members, n: int) -> np.ndarray:
     return idx
 
 
+# Rounds of redraws for rows whose keys tie at the threshold. A row of
+# width w ties there with probability ~w * 2^-31 (~2^-21 at w = 1024), so
+# a tie that survives four redraws means a broken generator.
+_TIE_REDRAWS = 4
+
+
+def _draw_keys(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
+    """(count, width) uint32 keys, two per 64-bit word of the bit generator:
+    half the bytes of float64 keys, for every later step as well."""
+    size = count * width
+    raw = rng.bit_generator.random_raw((size + 1) // 2)
+    return raw.view(np.uint32)[:size].reshape(count, width)
+
+
+def _threshold(keys: np.ndarray, k, one_k: bool):
+    """Masks of the keys below each row's (k+1)-th smallest and of the keys
+    equal to it; a row with k = width selects all and has no next key."""
+    count, width = keys.shape
+    if one_k:
+        kth = np.partition(keys, k, axis=1)[:, k, None]
+        return keys < kth, keys == kth
+    full = k == width
+    kth = np.take_along_axis(np.sort(keys, axis=1), np.minimum(k, width - 1)[:, None], axis=1)
+    mask, nxt = keys < kth, keys == kth
+    mask[full], nxt[full] = True, False
+    return mask, nxt
+
+
 def _select_smallest(rng: np.random.Generator, count: int, width: int, k):
-    """Rank selection on ``rng.random((count, width))`` keys, with ``k`` one
-    int or one int per row in [0, width]. Returns the masks of each row's k
-    smallest keys and of its (k+1)-th smallest (empty where k = width). The
-    threshold comes from ``np.partition`` for one k below the width, else
-    from a row sort plus an ``inf`` column; a tie there raises
-    FloatingPointError, since it would select fewer than k keys."""
+    """Rank selection on uint32 random keys, with ``k`` one int or one int
+    per row in [0, width]. Returns the masks of each row's k smallest keys
+    and of its (k+1)-th smallest (empty where k = width). The threshold comes
+    from ``np.partition`` for one k, else from a row sort.
+
+    A row whose (k+1)-th key ties with the k-th or the (k+2)-th is drawn
+    again: rejecting a tie is symmetric under permutations of the row, so
+    the subset and the next key stay uniform. After ``_TIE_REDRAWS`` rounds
+    that still tie, FloatingPointError."""
     # One k is checked in Python: at small widths the array check was a
     # quarter of the call.
     one_k = isinstance(k, (int, np.integer)) or np.ndim(k) == 0
@@ -104,22 +135,31 @@ def _select_smallest(rng: np.random.Generator, count: int, width: int, k):
         k = int(k)
         if not 0 <= k <= width:
             raise ValueError(f"subset size out of range [0, {width}]: {k}")
+        want, expected = 1, count if k < width else 0
     else:
         k = np.asarray(k, dtype=np.intp)
         if ((k < 0) | (k > width)).any():
             raise ValueError(f"subset size out of range [0, {width}]: {k}")
-    keys = rng.random((count, width))
-    if one_k and k < width:
-        kth = np.partition(keys, k, axis=1)[:, k, None]
-    else:
-        ranked = np.append(np.sort(keys, axis=1), np.full((count, 1), np.inf), axis=1)
-        kth = ranked[np.arange(count), k, None]
-    mask = keys < kth
-    # No row has more than k keys below its (k+1)-th, so a short total means
-    # a short row.
-    if np.count_nonzero(mask) != (k * count if one_k else k.sum()):
-        raise FloatingPointError("tied random keys at the selection threshold")
-    return mask, keys == kth
+        want = k < width
+        expected = np.count_nonzero(want)
+    if not expected:  # every row takes the whole pool, or there is no row
+        return np.ones((count, width), dtype=bool), np.zeros((count, width), dtype=bool)
+    mask, nxt = _threshold(_draw_keys(rng, count, width), k, one_k)
+    # Every row with k < width has at least one key equal to its threshold,
+    # and exactly one iff nothing ties there; then it also has exactly k
+    # keys below. So one total count clears the whole batch.
+    if np.count_nonzero(nxt) == expected:
+        return mask, nxt
+    # A row with k = width never ties, so each tied row wants one next key.
+    tied = np.flatnonzero(np.count_nonzero(nxt, axis=1) != want)
+    for _ in range(_TIE_REDRAWS):
+        mask[tied], nxt[tied] = _threshold(
+            _draw_keys(rng, len(tied), width), k if one_k else k[tied], one_k)
+        tied = tied[np.count_nonzero(nxt[tied], axis=1) != 1]
+        if not tied.size:
+            return mask, nxt
+    raise FloatingPointError("random keys still tied at the selection threshold "
+                             f"after {_TIE_REDRAWS} redraws")
 
 
 def _split_indices(members: np.ndarray, n: int) -> np.ndarray:

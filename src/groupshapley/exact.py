@@ -233,6 +233,20 @@ def fgsv_valuation(game: Game, partition: Partition, k: int) -> float:
     return exact_faithful_group_shapley(game, partition.groups[k])
 
 
+def fgsv_valuation_per_game():
+    """A valuation equal to :func:`fgsv_valuation` bit for bit that computes
+    each game's exact Shapley values once and sums them per group: one 2^n
+    table per game object instead of one per (game, partition, group)."""
+    values = {}
+
+    def valuation(game: Game, partition: Partition, k: int) -> float:
+        if game not in values:
+            values[game] = exact_shapley_values(game)
+        return float(values[game][list(partition.groups[k])].sum())
+
+    return valuation
+
+
 def gsv_valuation(game: Game, partition: Partition, k: int) -> float:
     """Group-as-player valuation, exact."""
     return exact_group_shapley(game, partition, k)

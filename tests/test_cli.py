@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from groupshapley import bench, cli
+from groupshapley import bench, cli, combinatorics
 from groupshapley.baselines import BASELINE_ESTIMATORS, predicted_baseline_evaluations
 from groupshapley.bench import (
     BenchConfig,
@@ -131,6 +131,18 @@ class TestBenchCommand:
         with open(out / "summary.csv") as fh:
             srows = list(csv.DictReader(fh))
         assert len(srows) == 3 * 4
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_always_tied_keys_exit_numeric(self, tmp_path, capsys, monkeypatch, threads):
+        # Keys that always tie are redrawn a fixed number of times, then the
+        # run stops with a numeric error instead of looping.
+        monkeypatch.setattr(combinatorics, "_draw_keys",
+                            lambda rng, count, width: np.zeros((count, width), np.uint32))
+        cfg_path = write_config(tmp_path, "bench.json", bench_payload(replications=1))
+        rc = cli.main(["bench", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                       "--threads", threads])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numeric error: random keys still tied")
 
     def test_row_fields(self, tmp_path):
         cfg_path = write_config(tmp_path, "bench.json",
@@ -398,8 +410,9 @@ def test_non_finite_sou_coefficient_exit_code(tmp_path, capsys, value):
 class TestConfigMistakes:
     """Mistakes in axioms, exact and attack configs that the library would
     raise as ValueError, or read as nonsense, are config errors (exit 2): a
-    tolerance that is not a finite non-negative JSON number, and a game too
-    large for exact enumeration."""
+    tolerance that is not a finite non-negative JSON number, a game too
+    large for exact enumeration, and more groups than an exact group-as-player
+    value can enumerate."""
 
     @staticmethod
     def sou(n):
@@ -416,6 +429,10 @@ class TestConfigMistakes:
         ("axioms", "fgsv_n22", "game: axioms with method fgsv needs n <= 20, got n = 22"),
         ("exact", "n24", "game: exact needs n <= 20, got n = 24"),
         ("attack", "game_n18", "game: attack needs n <= 16, got n = 18"),
+        ("attack", "ubar_21_groups",
+         "attack with 'ubar' needs at most 20 groups, got 21 after the largest split"),
+        ("axioms", "gsv_25_groups",
+         "partitions[1]: axioms with method gsv needs at most 20 groups, got 25"),
     ]
 
     @pytest.mark.parametrize("command,case,message", CASES,
@@ -431,6 +448,12 @@ class TestConfigMistakes:
             "game_n18": {"schema_version": 1, "game": self.sou(18),
                          "groups": {"rule": "mod", "k": 3},
                          "target_group": 0, "pieces": [2]},
+            "ubar_21_groups": {"schema_version": 1, "ubar": "saturating2",
+                               "group_sizes": [1] * 19 + [2],
+                               "target_group": 19, "pieces": [2]},
+            "gsv_25_groups": {"schema_version": 1, "game": self.sou(30), "method": "gsv",
+                              "partitions": [{"rule": "mod", "k": 2},
+                                             {"rule": "mod", "k": 25}]},
         }[case]
         cfg = write_config(tmp_path, "cfg.json", payload)
         out = tmp_path / "out"

@@ -7,8 +7,10 @@ import scipy.stats
 
 from groupshapley.baselines import SvEstimate, group_sum
 from groupshapley.combinatorics import (
+    _TIE_REDRAWS,
     HypergeomParams,
     _check_feasible,
+    _select_smallest,
     _split_indices,
     log_binom,
     log_family_size,
@@ -32,7 +34,14 @@ from groupshapley.games import IntersectionSizeGame, sou_generate
 
 
 # The four rank-selection samplers that one primitive replaced, kept verbatim
-# as references: the same keys must select the same subsets.
+# as references except for their keys: they draw the same uint32 words as
+# the primitive, and the same keys must select the same subsets.
+
+def _reference_keys(rng, count, width):
+    size = count * width
+    return rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size].reshape(
+        count, width)
+
 
 def _reference_subsets_with_intersection(rng, n, members, s, s1, count):
     members = np.asarray(members, dtype=np.intp)
@@ -41,14 +50,14 @@ def _reference_subsets_with_intersection(rng, n, members, s, s1, count):
     masks = np.zeros((count, n), dtype=bool)
     rows = np.arange(count)[:, None]
     if s1 > 0:
-        keys = rng.random((count, len(members)))
-        chosen = np.argpartition(keys, s1 - 1, axis=1)[:, :s1] if s1 < len(members) \
+        chosen = np.argpartition(_reference_keys(rng, count, len(members)), s1 - 1,
+                                 axis=1)[:, :s1] if s1 < len(members) \
             else np.tile(np.arange(len(members)), (count, 1))
         masks[rows, members[chosen]] = True
     s2 = s - s1
     if s2 > 0:
-        keys = rng.random((count, len(comp)))
-        chosen = np.argpartition(keys, s2 - 1, axis=1)[:, :s2] if s2 < len(comp) \
+        chosen = np.argpartition(_reference_keys(rng, count, len(comp)), s2 - 1,
+                                 axis=1)[:, :s2] if s2 < len(comp) \
             else np.tile(np.arange(len(comp)), (count, 1))
         masks[rows, comp[chosen]] = True
     return masks
@@ -72,14 +81,14 @@ def _reference_paired_tuples(rng, n, members, s, s1, count):
 
     # Rank selection: the s1 smallest keys form S's member part and the
     # (s1+1)-th smallest is a uniform draw from the remainder.
-    keys = rng.random((count, s0))
+    keys = _reference_keys(rng, count, s0)
     order = np.argpartition(keys, s1, axis=1)
     if s1 > 0:
         masks[rows, members[order[:, :s1]]] = True
     z1 = members[order[:, s1]]
 
     s2 = s - s1
-    keys = rng.random((count, len(comp)))
+    keys = _reference_keys(rng, count, len(comp))
     order = np.argpartition(keys, s2, axis=1)
     if s2 > 0:
         masks[rows, comp[order[:, :s2]]] = True
@@ -89,21 +98,24 @@ def _reference_paired_tuples(rng, n, members, s, s1, count):
 
 def _reference_uniform_subsets(rng, n, s, count):
     masks = np.zeros((count, n), dtype=bool)
-    if s == 0:
-        return masks
     if s == n:
         masks[:] = True
         return masks
-    keys = rng.random((count, n))
+    keys = _reference_keys(rng, count, n)
+    if s == 0:
+        return masks
     chosen = np.argpartition(keys, s - 1, axis=1)[:, :s]
     masks[np.arange(count)[:, None], chosen] = True
     return masks
 
 
 def _reference_ranked_masks(rng, count, width, sizes):
-    keys = rng.random((count, width))
+    sizes = np.asarray(sizes)
+    if (sizes == width).all():
+        return np.ones((count, width), dtype=bool)
+    keys = _reference_keys(rng, count, width)
     ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
-    return ranks < np.asarray(sizes)[:, None]
+    return ranks < sizes[:, None]
 
 
 class TestLogBinom:
@@ -372,10 +384,11 @@ def _same_state(a, b):
 
 
 class TestSelectionReference:
-    """The samplers select the same subsets from the same keys as the
+    """The samplers select the same subsets from the same uint32 keys as the
     rank-selection code they replaced, and leave the generator in the same
-    state. The one difference: ``sample_uniform_subsets`` now draws keys at
-    s = 0 and s = n too, where the subset is fixed."""
+    state. Keys are drawn for every pool that keeps fewer than all of its
+    indices (so ``sample_uniform_subsets`` draws at s = 0 and not at s = n),
+    and for a per-row draw unless every row keeps its whole pool."""
 
     @pytest.mark.parametrize("n", range(11))
     def test_fixed_sizes(self, n):
@@ -389,8 +402,7 @@ class TestSelectionReference:
                     got = sample_uniform_subsets(got_rng, n, s, count)
                     want = _reference_uniform_subsets(want_rng, n, s, count)
                     assert got.shape == (count, n) and np.array_equal(got, want)
-                    if 0 < s < n:
-                        assert _same_state(got_rng, want_rng)
+                    assert _same_state(got_rng, want_rng)
                     for s1 in range(max(0, s - (n - s0)), min(s, s0) + 1):
                         self._check(n, members, s, s1, count, seed)
 
@@ -424,24 +436,37 @@ class TestSelectionReference:
     @pytest.mark.parametrize("width", [1, 2, 64, 65, 1025])
     def test_per_row_sizes(self, width):
         pick = np.random.default_rng(width)
-        sizes = np.concatenate([[0, width], pick.integers(0, width + 1, 48)])
-        got_rng, want_rng = np.random.default_rng(width), np.random.default_rng(width)
-        got = sample_uniform_subsets(got_rng, width, sizes, len(sizes))
-        want = _reference_ranked_masks(want_rng, len(sizes), width, sizes)
-        assert np.array_equal(got, want)
-        assert _same_state(got_rng, want_rng)
+        for sizes in (np.concatenate([[0, width], pick.integers(0, width + 1, 48)]),
+                      np.full(3, width), np.zeros(0, dtype=int)):
+            got_rng, want_rng = np.random.default_rng(width), np.random.default_rng(width)
+            got = sample_uniform_subsets(got_rng, width, sizes, len(sizes))
+            want = _reference_ranked_masks(want_rng, len(sizes), width, sizes)
+            assert got.shape == (len(sizes), width) and np.array_equal(got, want)
+            assert _same_state(got_rng, want_rng)
 
 
-class _TiedKeys:
-    """Generator stand-in whose keys are all equal."""
+class _RawWords:
+    """Generator stand-in: ``bit_generator.random_raw(size)`` returns
+    ``words(size, call)`` as uint64 and logs each size."""
 
-    def random(self, shape):
-        return np.full(shape, 0.5)
+    def __init__(self, words):
+        self.words = words
+        self.sizes = []
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return np.asarray(self.words(size, len(self.sizes) - 1), dtype=np.uint64)
+
+
+def _keys_of(words, count, width):
+    return np.asarray(words).view(np.uint32)[:count * width].reshape(count, width)
 
 
 class TestTiedKeys:
-    """A tie at the selection threshold would select too few keys; it must
-    raise instead of returning a short subset."""
+    """Rows whose keys tie at the selection threshold are drawn again; a
+    generator that always ties raises instead of looping or returning a short
+    subset."""
 
     @pytest.mark.parametrize("draw", [
         lambda rng: sample_subsets_with_intersection(rng, 6, [0, 1, 2], 3, 1, 4),
@@ -450,8 +475,63 @@ class TestTiedKeys:
         lambda rng: sample_uniform_subsets(rng, 6, [0, 2, 6, 1], 4),
     ])
     def test_raises(self, draw):
+        rng = _RawWords(lambda size, call: np.full(size, 0x9E3779B9_9E3779B9))
         with pytest.raises(FloatingPointError):
-            draw(_TiedKeys())
+            draw(rng)
+        assert len(rng.sizes) == 1 + _TIE_REDRAWS
+
+    @pytest.mark.parametrize("k", [0, 2, 5, [3, 0, 6, 5, 2, 1, 4, 3]])
+    def test_redraws_only_tied_rows(self, k):
+        count, width, tied = 8, 6, [1, 2, 6]
+        real = np.random.default_rng(5)
+        draws = []
+
+        def words(size, call):
+            w = real.bit_generator.random_raw(size)
+            if call == 0:
+                keys = _keys_of(w, count, width)
+                keys[tied] = 7  # ties at every threshold
+            draws.append(w)
+            return w
+
+        rng = _RawWords(words)
+        mask, nxt = _select_smallest(rng, count, width, k)
+        sizes = np.broadcast_to(k, count)
+        redrawn = [r for r in tied if sizes[r] < width]
+        assert rng.sizes == [count * width // 2, len(redrawn) * width // 2]
+        assert (mask.sum(axis=1) == sizes).all()
+        assert (nxt.sum(axis=1) == (sizes < width)).all()
+        assert not (mask & nxt).any()
+        # Each row's selection comes from the keys of the round that kept it.
+        keys = _keys_of(draws[0], count, width).copy()
+        keys[redrawn] = _keys_of(draws[1], len(redrawn), width)
+        ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
+        assert np.array_equal(mask, ranks < sizes[:, None])
+        assert np.array_equal(nxt, ranks == sizes[:, None])
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("coarse", [False, True])
+    @pytest.mark.parametrize("width, k", [(w, k) for w in (2, 3, 5) for k in range(w)])
+    def test_joint_subset_and_next_uniform(self, width, k, coarse, per_row):
+        # Coarse keys keep 8 bits of each 32, so ~1-4% of rows tie and are
+        # redrawn; the pair (S, z) must stay uniform over its
+        # C(width, k) * (width - k) values either way.
+        real = np.random.default_rng(1000 * width + 10 * k + 2 * coarse + per_row)
+        if coarse:
+            rng = _RawWords(lambda size, call:
+                            real.bit_generator.random_raw(size) & 0x000000FF_000000FF)
+        else:
+            rng = real
+        draws = 3 * 10**4
+        mask, nxt = _select_smallest(rng, draws, width, np.full(draws, k) if per_row else k)
+        assert (mask.sum(axis=1) == k).all() and (nxt.sum(axis=1) == 1).all()
+        outcome = (mask @ (1 << np.arange(width))) * width + nxt.argmax(axis=1)
+        _, counts = np.unique(outcome, return_counts=True)
+        cells = math.comb(width, k) * (width - k)
+        assert len(counts) == cells
+        exp = draws / cells
+        stat = ((counts - exp) ** 2 / exp).sum()
+        assert stat < scipy.stats.chi2.ppf(1 - 1e-6, df=cells - 1)
 
 
 # Every public function that takes a member set, called on a 6-player game.

@@ -213,19 +213,27 @@ class TestEstimateGroupValue:
         assert est.std_error == 0.0
 
     def test_convergence_in_samples(self):
+        # The estimator has a bias of ~+0.167 on this game (the single-term
+        # approximation), so the error does not go to zero; the spread across
+        # seeds does, as 1/sqrt(m), and the mean absolute error must not rise.
         g = sou_generate(10, 30, 14)
         members = [0, 2, 4, 6]
         truth = exact_faithful_group_shapley(g, members)
-        errors = []
-        for m in (8, 64, 512):
+        samples = (8, 64, 512)
+        spreads, errors = [], []
+        for m in samples:
             cfg = EstimatorConfig(size_threshold=4, grid_samples=m, pair_samples=m)
-            runs = [
+            runs = np.array([
                 estimate_group_value(g, members, cfg,
                                      rng=np.random.default_rng(1000 + r)).value
-                for r in range(10)
-            ]
-            errors.append(np.mean(np.abs(np.array(runs) - truth)))
-        assert errors[2] < errors[0]
+                for r in range(64)
+            ])
+            spreads.append(runs.std(ddof=1))
+            errors.append(np.mean(np.abs(runs - truth)))
+        for m, sd in zip(samples[1:], spreads[1:]):
+            ratio = (sd / spreads[0]) / math.sqrt(samples[0] / m)
+            assert 0.5 < ratio < 2.0, (m, spreads)
+        assert errors[-1] <= errors[0], errors
 
 
 class TestChooseParameters:
