@@ -59,7 +59,6 @@ from .exact import (
     exact_size_term,
     faithful_group_shapley_by_sizes,
     fgsv_valuation,
-    fgsv_valuation_per_game,
     gsv_valuation,
     mod_partition,
     size_profile_term,

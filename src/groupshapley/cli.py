@@ -42,7 +42,7 @@ from .exact import (
     check_axioms,
     exact_group_shapley,
     exact_shapley_values,
-    fgsv_valuation_per_game,
+    fgsv_valuation,
     gsv_valuation,
 )
 from .games import SIZE_UTILITIES, Game
@@ -168,7 +168,7 @@ def _cmd_axioms(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
             if len(part) > DEFAULT_CAP:
                 raise ConfigError(f"partitions[{i}]: axioms with method gsv needs "
                                   f"at most {DEFAULT_CAP} groups, got {len(part)}")
-    valuation = fgsv_valuation_per_game() if method == "fgsv" else gsv_valuation
+    valuation = fgsv_valuation if method == "fgsv" else gsv_valuation
     report = check_axioms(valuation, game, partitions, tol=float(tol))
 
     os.makedirs(out_dir, exist_ok=True)

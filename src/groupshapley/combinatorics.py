@@ -95,10 +95,18 @@ def _member_indices(members, n: int) -> np.ndarray:
 # a tie that survives four redraws means a broken generator.
 _TIE_REDRAWS = 4
 
+# Bit generators whose ``random_raw`` words carry 64 random bits. Any other
+# (MT19937's words hold 32 bits and zeros) draws its keys through
+# ``integers``, at about 2.5x the cost.
+_RAW64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+
 
 def _draw_keys(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
-    """(count, width) uint32 keys, two per 64-bit word of the bit generator:
-    half the bytes of float64 keys, for every later step as well."""
+    """(count, width) uint32 keys, two per 64-bit raw word where the bit
+    generator is in ``_RAW64``: half the bytes of float64 keys, for every
+    later step as well."""
+    if not isinstance(rng.bit_generator, _RAW64):
+        return rng.integers(0, 1 << 32, size=(count, width), dtype=np.uint32)
     size = count * width
     raw = rng.bit_generator.random_raw((size + 1) // 2)
     return raw.view(np.uint32)[:size].reshape(count, width)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,23 +229,17 @@ class AxiomReport:
         )
 
 
+# Each game's exact Shapley values, computed once per game object. Games are
+# pure utilities, so the table never goes stale; it goes with its game.
+_SHAPLEY_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def fgsv_valuation(game: Game, partition: Partition, k: int) -> float:
-    """Faithful group valuation: sum of members' exact Shapley values."""
-    return exact_faithful_group_shapley(game, partition.groups[k])
-
-
-def fgsv_valuation_per_game():
-    """A valuation equal to :func:`fgsv_valuation` bit for bit that computes
-    each game's exact Shapley values once and sums them per group: one 2^n
-    table per game object instead of one per (game, partition, group)."""
-    values = {}
-
-    def valuation(game: Game, partition: Partition, k: int) -> float:
-        if game not in values:
-            values[game] = exact_shapley_values(game)
-        return float(values[game][list(partition.groups[k])].sum())
-
-    return valuation
+    """Faithful group valuation: sum of members' exact Shapley values. The
+    2^n table is built once per game, not once per (partition, group)."""
+    if game not in _SHAPLEY_TABLES:
+        _SHAPLEY_TABLES[game] = exact_shapley_values(game)
+    return float(_SHAPLEY_TABLES[game][list(partition.groups[k])].sum())
 
 
 def gsv_valuation(game: Game, partition: Partition, k: int) -> float:

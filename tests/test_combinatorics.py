@@ -445,11 +445,13 @@ class TestSelectionReference:
             assert _same_state(got_rng, want_rng)
 
 
-class _RawWords:
-    """Generator stand-in: ``bit_generator.random_raw(size)`` returns
-    ``words(size, call)`` as uint64 and logs each size."""
+class _RawWords(np.random.PCG64):
+    """Generator stand-in with a 64-bit bit generator:
+    ``bit_generator.random_raw(size)`` returns ``words(size, call)`` as
+    uint64 and logs each size."""
 
     def __init__(self, words):
+        super().__init__(0)
         self.words = words
         self.sizes = []
         self.bit_generator = self
@@ -510,18 +512,22 @@ class TestTiedKeys:
         assert np.array_equal(nxt, ranks == sizes[:, None])
 
     @pytest.mark.parametrize("per_row", [False, True])
-    @pytest.mark.parametrize("coarse", [False, True])
+    @pytest.mark.parametrize("source", ["pcg64", "coarse", "mt19937"])
     @pytest.mark.parametrize("width, k", [(w, k) for w in (2, 3, 5) for k in range(w)])
-    def test_joint_subset_and_next_uniform(self, width, k, coarse, per_row):
+    def test_joint_subset_and_next_uniform(self, width, k, source, per_row):
         # Coarse keys keep 8 bits of each 32, so ~1-4% of rows tie and are
-        # redrawn; the pair (S, z) must stay uniform over its
-        # C(width, k) * (width - k) values either way.
-        real = np.random.default_rng(1000 * width + 10 * k + 2 * coarse + per_row)
-        if coarse:
+        # redrawn. MT19937's raw words hold only 32 random bits, so half of
+        # a raw-word view would be zero keys. The pair (S, z) must stay
+        # uniform over its C(width, k) * (width - k) values either way.
+        seed = 1000 * width + 10 * k + per_row
+        if source == "mt19937":
+            rng = np.random.Generator(np.random.MT19937(seed))
+        elif source == "coarse":
+            real = np.random.default_rng(seed)
             rng = _RawWords(lambda size, call:
                             real.bit_generator.random_raw(size) & 0x000000FF_000000FF)
         else:
-            rng = real
+            rng = np.random.default_rng(seed)
         draws = 3 * 10**4
         mask, nxt = _select_smallest(rng, draws, width, np.full(draws, k) if per_row else k)
         assert (mask.sum(axis=1) == k).all() and (nxt.sum(axis=1) == 1).all()

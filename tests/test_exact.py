@@ -16,7 +16,6 @@ from groupshapley.exact import (
     exact_size_term,
     faithful_group_shapley_by_sizes,
     fgsv_valuation,
-    fgsv_valuation_per_game,
     gsv_valuation,
     mod_partition,
     size_profile_term,
@@ -409,14 +408,8 @@ class TestAxioms:
         # endpoints; the witness games evaluate the base through its kernel.
         g = sou_generate(16, 200, 3)
         parts = [mod_partition(16, 4), mod_partition(16, 2)]
-        check_axioms(fgsv_valuation_per_game(), g, parts)
+        check_axioms(fgsv_valuation, g, parts)
         assert g.eval_counter == 2**16 + 2
-
-    def test_per_game_valuation_matches(self):
-        g = sou_generate(9, 40, 4)
-        parts = [mod_partition(9, 3), Partition([[0, 3, 6], [1, 2], [4, 5, 7, 8]], n=9)]
-        assert check_axioms(fgsv_valuation_per_game(), g, parts).to_json() == \
-            check_axioms(fgsv_valuation, g, parts).to_json()
 
     def test_empty_partition_list(self):
         g = sou_generate(4, 4, 0)
