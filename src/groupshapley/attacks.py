@@ -11,7 +11,7 @@ valuations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -128,16 +128,7 @@ class AttackReport:
             "first_violation": self.first_violation,
             "gsv_monotone": self.gsv_monotone,
             "fgsv_constant": self.fgsv_constant,
-            "rows": [
-                {
-                    "pieces": r.pieces,
-                    "group": r.group,
-                    "is_attacker": r.is_attacker,
-                    "gsv": r.gsv,
-                    "fgsv": r.fgsv,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "extras": self.extras,
         }
 

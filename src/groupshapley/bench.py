@@ -79,12 +79,23 @@ GAME_KEYS = {
 
 
 def validate_game_spec(spec: dict, where: str = "game") -> None:
+    """Checks the spec's fields, and that its integer fields are integers
+    at or above their minimum; the game's constructor checks the rest."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{where}: expected an object with a 'type' field")
     kind = spec["type"]
     if kind not in GAME_KEYS:
         raise ConfigError(f"{where}: unknown game type {kind!r}")
     _require_keys(spec, GAME_KEYS[kind], GAME_KEYS[kind], where)
+    for key, minimum in (("n", 1), ("d", 1), ("seed", 0)):
+        if key in spec:
+            _require_int(spec[key], f"{where}: {key}", minimum)
+    if kind == "sou_explicit":
+        subsets = spec["subsets"]
+        if not isinstance(subsets, list) or not all(isinstance(a, list) for a in subsets):
+            raise ConfigError(f"{where}: subsets must be a list of index lists")
+        for i in (i for a in subsets for i in a):
+            _require_int(i, f"{where}: subset index", 0)
 
 
 def build_game(spec: dict) -> Game:
@@ -254,8 +265,7 @@ def fgsv_config_for(n: int, s0: int, per_group_budget: int, method: dict) -> Est
     """Estimator parameters that spend close to (and never more than) the
     per-group share of the budget, with equal sample counts in both regimes
     unless overridden."""
-    s_bar = int(method.get("size_threshold", 10))
-    s_bar = max(1, min(s_bar, n))
+    s_bar = max(1, min(int(method.get("size_threshold", 10)), n))
     probe = EstimatorConfig(size_threshold=s_bar, grid_samples=1, pair_samples=1)
     per_sample = predicted_evaluations(n, s0, probe) - 2
     if "grid_samples" in method or "pair_samples" in method:
@@ -341,11 +351,11 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     rows its own plan sends. Rows appear in (replication, method, group) order regardless of the
     thread count; group ids are 1-based in the output.
     """
-    os.makedirs(out_dir, exist_ok=True)
     game = build_game(config.game_spec)
     partition = partition_from_spec(config.groups_spec, game.n)
-    _validate_budgets(config, game.n, len(partition))
+    _validate_budgets(config, game.n, partition)
     truths, truth_source = compute_truth(config, game, partition)
+    os.makedirs(out_dir, exist_ok=True)
 
     cells = [
         (rep, mi, m)
@@ -414,16 +424,25 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     }
 
 
-def _validate_budgets(config: BenchConfig, n: int, num_groups: int) -> None:
+def _validate_budgets(config: BenchConfig, n: int, partition: Partition) -> None:
     """Checks the budget against each method's minimum on n players, each
     baseline's evaluations against the checkpoint interval, and the
-    reference-truth budget against the permutation estimator's."""
+    reference-truth budget against the permutation estimator's. fgsv's
+    minimum is read off its plan: every group's run must fit its share."""
     for m in config.methods:
         name = m["name"]
-        try:
-            need = 3 * num_groups if name == "fgsv" else baselines.min_baseline_budget(name, n)
-        except ValueError as exc:
-            raise ConfigError(f"methods[{name}]: {exc}") from exc
+        if name == "fgsv":
+            share = config.budget // len(partition)
+            used = max(predicted_evaluations(n, len(g), fgsv_config_for(n, len(g), share, m))
+                       for g in partition.groups)
+            # A run past its share draws the fewest samples it can, so then
+            # this is the least budget that fits.
+            need = used * len(partition)
+        else:
+            try:
+                need = baselines.min_baseline_budget(name, n)
+            except ValueError as exc:
+                raise ConfigError(f"methods[{name}]: {exc}") from exc
         if config.budget < need:
             raise ConfigError(
                 f"budget {config.budget} below minimum {need} for {name}"

@@ -58,6 +58,17 @@ class HypergeomParams:
         return lo, probs
 
 
+def size_term_weights(n: int, s0: int, s: int) -> tuple[int, np.ndarray]:
+    """Weights of the size-s term of the faithful group value's size
+    decomposition, FGSV = (s0/n)·(U(N) - U(∅)) + Σ_s Σ_j w[j]·μ(s, lo + j),
+    with μ(s, s1) the mean utility over |S| = s, |S ∩ S0| = s1. Returns
+    (lo, w) with w[j] = P(overlap = lo + j) · n/(n-s) · ((lo + j)/s - s0/n)."""
+    if not 1 <= s <= n - 1:
+        raise ValueError(f"size {s} out of range 1..{n - 1}")
+    lo, probs = HypergeomParams(n, s0, s).pmf_vector()
+    return lo, probs * (n / (n - s)) * (np.arange(lo, lo + len(probs)) / s - s0 / n)
+
+
 def log_family_size(n: int, s0: int, s: int, s1: int) -> float:
     """Log count of subsets S with |S| = s and |S ∩ S0| = s1."""
     return log_binom(s0, s1) + log_binom(n - s0, s - s1)
@@ -176,6 +187,16 @@ def _split_indices(members: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(comp)
 
 
+def _assemble(members: np.ndarray, comp: np.ndarray, part_in: np.ndarray,
+              part_out: np.ndarray) -> np.ndarray:
+    """(count, n) masks from the selections over the members and over the
+    complement: one column gather puts the pools back in index order."""
+    inv = np.empty(len(members) + len(comp), dtype=np.intp)
+    inv[members] = np.arange(len(members))
+    inv[comp] = np.arange(len(members), len(inv))
+    return np.take(np.concatenate((part_in, part_out), axis=1), inv, axis=1)
+
+
 def sample_subsets_with_intersection(
     rng: np.random.Generator,
     n: int,
@@ -192,12 +213,13 @@ def sample_subsets_with_intersection(
     """
     members = _member_indices(members, n)
     _check_feasible(n, len(members), s, s1)
-    # Pools fill rows of the transpose: ~4x faster than assigning columns.
-    masks = np.zeros((n, count), dtype=bool)
-    for pool, k in ((members, s1), (_split_indices(members, n), s - s1)):
-        if k > 0:
-            masks[pool] = _select_smallest(rng, count, len(pool), k)[0].T
-    return np.ascontiguousarray(masks.T)
+    comp = _split_indices(members, n)
+    part_in, part_out = (
+        _select_smallest(rng, count, len(pool), k)[0] if k > 0
+        else np.zeros((count, len(pool)), dtype=bool)
+        for pool, k in ((members, s1), (comp, s - s1))
+    )
+    return _assemble(members, comp, part_in, part_out)
 
 
 def sample_paired_tuples(
@@ -225,15 +247,12 @@ def sample_paired_tuples(
             f"no non-member left outside S: n-|members|={n - s0}, s-s1={s - s1}"
         )
     comp = _split_indices(members, n)
-    masks = np.zeros((n, count), dtype=bool)
     # The (k+1)-th smallest key of each pool is a uniform draw from the rest.
-    part, nxt = _select_smallest(rng, count, s0, s1)
-    masks[members] = part.T
+    part_in, nxt = _select_smallest(rng, count, s0, s1)
     z1 = members[nxt.argmax(axis=1)]
-    part, nxt = _select_smallest(rng, count, len(comp), s - s1)
-    masks[comp] = part.T
+    part_out, nxt = _select_smallest(rng, count, len(comp), s - s1)
     z2 = comp[nxt.argmax(axis=1)]
-    return np.ascontiguousarray(masks.T), z1, z2
+    return _assemble(members, comp, part_in, part_out), z1, z2
 
 
 def sample_uniform_subsets(

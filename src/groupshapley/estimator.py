@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import (
-    HypergeomParams,
     _check_feasible,
     _member_indices,
     log_family_size,
     sample_paired_tuples,
     sample_subsets_with_intersection,
+    size_term_weights,
 )
 from .exact import _family_masks
 from .games import Game, augment_with_null
@@ -44,7 +44,6 @@ class EstimatorConfig:
     size_threshold: int
     grid_samples: int
     pair_samples: int
-    seed: int | None = None
     exhaustive_small_sizes: bool = False
     checkpoint_interval: int | None = None
 
@@ -69,23 +68,24 @@ class GroupValueEstimate:
 def _size_plan(n: int, s0: int, size_threshold: int):
     """The coalition sizes one estimator run evaluates, in order.
 
-    Yields ``(s, s1, probs)``. For a grid size below the threshold, ``s1``
-    is the lowest feasible overlap and ``probs[j]`` the hypergeometric
-    weight of overlap ``s1 + j``. For a paired size, ``s1`` is the expected
-    overlap, clamped so that both residual pools stay non-empty, and
-    ``probs`` is None. Paired sizes with no such overlap contribute zero and
-    are left out.
+    Yields ``(s, cells, paired)``, each cell an ``(s1, weight)`` pair whose
+    estimate enters the FGSV as ``weight * estimate``. A grid size below the
+    threshold has one cell per feasible overlap, weighted by
+    :func:`size_term_weights`, each a mean utility. A paired size has one
+    cell, a paired difference at the expected overlap, clamped so that both
+    residual pools stay non-empty, weighted by n/(n-1)·α0(1-α0). Paired sizes
+    with no such overlap contribute zero and are left out.
     """
     alpha0 = s0 / n
+    paired_weight = (n / (n - 1)) * alpha0 * (1 - alpha0)
     for s in range(1, n):
         if s < size_threshold:
-            lo, probs = HypergeomParams(n, s0, s).pmf_vector()
-            yield s, lo, probs
+            lo, weights = size_term_weights(n, s0, s)
+            yield s, list(enumerate(weights, start=lo)), False
             continue
-        lo = max(0, s + s0 - n + 1)
-        hi = min(s, s0 - 1)
+        lo, hi = max(0, s + s0 - n + 1), min(s, s0 - 1)
         if lo <= hi:
-            yield s, min(max(math.floor(s * alpha0), lo), hi), None
+            yield s, [(min(max(math.floor(s * alpha0), lo), hi), paired_weight)], True
 
 
 def _mean_utility(
@@ -140,18 +140,17 @@ def estimate_mean_utility_gap(
 def _mean_utility_gap(
     game: Game, members: np.ndarray, s: int, s1: int, samples: int,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Mean and sample variance of the paired differences, for parsed
-    members."""
-    masks, z1, z2 = sample_paired_tuples(rng, game.n, members, s, s1, samples)
+) -> tuple[float, float, int]:
+    """Mean of the paired differences, the variance of that mean, and the
+    number of evaluations spent, for parsed members."""
+    with_out, z1, z2 = sample_paired_tuples(rng, game.n, members, s, s1, samples)
     rows = np.arange(samples)
-    with_in = masks.copy()
+    with_in = with_out.copy()
     with_in[rows, z1] = True
-    with_out = masks.copy()
     with_out[rows, z2] = True
     diffs = game.evaluate_masks(with_in) - game.evaluate_masks(with_out)
     var = float(diffs.var(ddof=1)) if samples > 1 else 0.0
-    return float(diffs.mean()), var
+    return float(diffs.mean()), var / samples, 2 * samples
 
 
 def predicted_evaluations(n: int, s0: int, config: EstimatorConfig) -> int:
@@ -162,9 +161,8 @@ def predicted_evaluations(n: int, s0: int, config: EstimatorConfig) -> int:
     if s0 == n:
         return 2
     return 2 + sum(
-        config.grid_samples * len(probs) if probs is not None
-        else 2 * config.pair_samples
-        for _, _, probs in _size_plan(n, s0, config.size_threshold)
+        len(cells) * (2 * config.pair_samples if paired else config.grid_samples)
+        for _, cells, paired in _size_plan(n, s0, config.size_threshold)
     )
 
 
@@ -179,6 +177,7 @@ def _run_plan(
     ``game``, the paired differences on ``pair_game``. The run counts the
     rows it sends, so other users of either game do not change its count."""
     n = game.n
+    config.validate(n)
     members = _member_indices(members, n)
     s0 = len(members)
     recorder = Recorder(config.checkpoint_interval)
@@ -194,35 +193,25 @@ def _run_plan(
         recorder.update(used, value)
         return GroupValueEstimate(value, np.zeros(n - 1), used, recorder.curve)
 
-    config.validate(n)
-    alpha0 = s0 / n
-    running = alpha0 * (u_full - u_empty)
+    running = (s0 / n) * (u_full - u_empty)
     recorder.update(used, running)
     per_size = np.zeros(n - 1)
     variance_total = 0.0
 
-    for s, s1, probs in _size_plan(n, s0, config.size_threshold):
-        if probs is None:
-            gap, var = _mean_utility_gap(
-                pair_game, members, s, s1, config.pair_samples, rng
-            )
-            used += 2 * config.pair_samples
-            coef = (n / (n - 1)) * alpha0 * (1 - alpha0)
-            term = coef * gap
-            variance_total += (coef**2) * var / config.pair_samples
+    for s, cells, paired in _size_plan(n, s0, config.size_threshold):
+        term = 0.0
+        for s1, weight in cells:
+            if paired:
+                mean, mean_var, spent = _mean_utility_gap(
+                    pair_game, members, s, s1, config.pair_samples, rng)
+            else:
+                mean, mean_var, spent = _mean_utility(
+                    game, members, s, s1, config.grid_samples, rng,
+                    config.exhaustive_small_sizes)
+            used += spent
+            term += weight * mean
+            variance_total += weight**2 * mean_var
             recorder.update(used, running + term)
-        else:
-            term = 0.0
-            for cell_s1, p in enumerate(probs, start=s1):
-                mu, mu_var, spent = _mean_utility(
-                    game, members, s, cell_s1, config.grid_samples, rng,
-                    config.exhaustive_small_sizes,
-                )
-                used += spent
-                weight = p * (n / (n - s)) * (cell_s1 / s - alpha0)
-                term += weight * mu
-                variance_total += weight**2 * mu_var
-                recorder.update(used, running + term)
         per_size[s - 1] = term
         running += term
 
@@ -245,7 +234,7 @@ def estimate_group_value(
     infeasible sizes contributing zero).
     """
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng()
     return _run_plan(game, members, config, rng, pair_game=game)
 
 
@@ -288,7 +277,6 @@ def estimate_group_value_augmented(
     B: int,
     samples: int,
     null_sampler,
-    config: EstimatorConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> GroupValueEstimate:
     """Paired-difference estimate over every coalition size, with the utility
@@ -297,13 +285,9 @@ def estimate_group_value_augmented(
 
     The efficiency endpoint term uses the raw game's full-set and empty-set
     utilities; only the paired differences go through the padded wrapper.
-    Only ``seed`` and ``checkpoint_interval`` are read from ``config``.
     """
     if rng is None:
-        rng = np.random.default_rng(config.seed if config else None)
-    all_paired = EstimatorConfig(
-        size_threshold=1, grid_samples=1, pair_samples=samples,
-        checkpoint_interval=config.checkpoint_interval if config else None,
-    )
+        rng = np.random.default_rng()
+    all_paired = EstimatorConfig(size_threshold=1, grid_samples=1, pair_samples=samples)
     padded = augment_with_null(game, B, null_sampler=null_sampler, rng=rng)
     return _run_plan(game, members, all_paired, rng, pair_game=padded)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import HypergeomParams, _check_feasible, _member_indices
+from .combinatorics import _check_feasible, _member_indices, size_term_weights
 from .games import Game, SOUGame
 
 DEFAULT_CAP = 20
@@ -56,11 +56,11 @@ def _all_masks(n: int) -> np.ndarray:
     return ((ids[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
-def utility_table(game: Game, cap: int = DEFAULT_CAP) -> np.ndarray:
+def utility_table(game: Game) -> np.ndarray:
     """Evaluates every subset once; entry m is the utility of the bitmask m."""
     n = game.n
-    if n > cap:
-        raise ValueError(f"n={n} exceeds brute-force cap {cap}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"n={n} exceeds brute-force cap {DEFAULT_CAP}")
     return game.evaluate_masks(_all_masks(n))
 
 
@@ -71,10 +71,10 @@ def _shapley_weights(n: int) -> np.ndarray:
                    for s in range(n)])
 
 
-def exact_shapley_values(game: Game, cap: int = DEFAULT_CAP) -> np.ndarray:
+def exact_shapley_values(game: Game) -> np.ndarray:
     """All n individual Shapley values by full enumeration (2^n evaluations)."""
     n = game.n
-    table = utility_table(game, cap=cap)
+    table = utility_table(game)
     sizes = _all_masks(n).sum(axis=1)
     weights = _shapley_weights(n)
     sv = np.zeros(n)
@@ -114,12 +114,12 @@ def exact_group_shapley(game: Game, partition: Partition, k: int) -> float:
     return float(weights @ (u_with - u_without))
 
 
-def exact_faithful_group_shapley(game: Game, members, cap: int = DEFAULT_CAP) -> float:
+def exact_faithful_group_shapley(game: Game, members) -> float:
     """Sum of the members' individual Shapley values."""
     members = _member_indices(members, game.n)
     if len(members) == 0:
         return 0.0
-    sv = exact_shapley_values(game, cap=cap)
+    sv = exact_shapley_values(game)
     return float(sv[members].sum())
 
 
@@ -150,21 +150,13 @@ def exact_mean_utility(game: Game, members, s: int, s1: int) -> float:
 
 def exact_size_term(game: Game, members, s: int) -> float:
     """Per-size contribution in the size decomposition of the faithful group
-    value: the hypergeometric expectation of the centered-overlap weight times
-    the conditional mean utility."""
-    n = game.n
-    if not (1 <= s <= n - 1):
-        raise ValueError(f"size {s} out of range 1..{n - 1}")
+    value: :func:`size_profile_term` over the enumerated conditional mean
+    utilities."""
     members = _member_indices(members, game.n)
-    s0 = len(members)
-    params = HypergeomParams(n, s0, s)
-    lo, probs = params.pmf_vector()
-    total = 0.0
-    for j, p in enumerate(probs):
-        s1 = lo + j
-        mu = exact_mean_utility(game, members, s, s1)
-        total += p * (n / (n - s)) * (s1 / s - s0 / n) * mu
-    return total
+    return size_profile_term(
+        lambda s1, size: exact_mean_utility(game, members, size, s1),
+        game.n, len(members), s,
+    )
 
 
 def faithful_group_shapley_by_sizes(game: Game, members) -> float:
@@ -185,14 +177,13 @@ def faithful_group_shapley_by_sizes(game: Game, members) -> float:
 
 
 def size_profile_term(profile, n: int, s0: int, s: int) -> float:
-    """Same as :func:`exact_size_term` but for games whose utility depends only
-    on (overlap, size); exact at any n via the hypergeometric pmf."""
-    params = HypergeomParams(n, s0, s)
-    lo, probs = params.pmf_vector()
+    """Size-s term of the faithful group value when ``profile(s1, s)`` is the
+    mean utility over coalitions of size s meeting the group in s1 players:
+    the :func:`size_term_weights`-weighted sum of the profile."""
+    lo, weights = size_term_weights(n, s0, s)
     total = 0.0
-    for j, p in enumerate(probs):
-        s1 = lo + j
-        total += p * (n / (n - s)) * (s1 / s - s0 / n) * profile(s1, s)
+    for s1, w in enumerate(weights, start=lo):
+        total += w * profile(s1, s)
     return total
 
 
@@ -319,15 +310,9 @@ def check_axioms(
     report.results["null_player"] = AxiomResult(dev <= tol, dev)
 
     # Symmetry: two equal-size groups that the utility sees identically.
-    sizes = [len(g) for g in base_part.groups]
-    pair = None
-    for a in range(len(sizes)):
-        for b in range(a + 1, len(sizes)):
-            if sizes[a] == sizes[b]:
-                pair = (a, b)
-                break
-        if pair:
-            break
+    groups = base_part.groups
+    pair = next(((a, b) for a, b in itertools.combinations(range(len(groups)), 2)
+                 if len(groups[a]) == len(groups[b])), None)
     if pair is None:
         report.results["symmetry"] = AxiomResult(True, 0.0, "no equal-size groups to test")
     else:
@@ -362,15 +347,14 @@ def check_axioms(
     # Faithfulness: a group present in two partitions gets the same value.
     max_dev = 0.0
     tested = False
-    for i in range(len(partitions)):
-        for j in range(i + 1, len(partitions)):
-            gi = {g: k for k, g in enumerate(partitions[i].groups)}
-            for k2, g in enumerate(partitions[j].groups):
-                if g in gi:
-                    tested = True
-                    vi = valuation(game, partitions[i], gi[g])
-                    vj = valuation(game, partitions[j], k2)
-                    max_dev = max(max_dev, abs(vi - vj))
+    for pi, pj in itertools.combinations(partitions, 2):
+        gi = {g: k for k, g in enumerate(pi.groups)}
+        for k2, g in enumerate(pj.groups):
+            if g in gi:
+                tested = True
+                vi = valuation(game, pi, gi[g])
+                vj = valuation(game, pj, k2)
+                max_dev = max(max_dev, abs(vi - vj))
     detail = "" if tested else "no shared group across partitions"
     report.results["faithfulness"] = AxiomResult(max_dev <= tol and tested, max_dev, detail)
     return report

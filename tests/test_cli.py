@@ -84,6 +84,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="minimum"):
             run_benchmark(cfg, tmp_path / "out")
 
+    def test_fgsv_budget_minimum_is_spent_not_exceeded(self, tmp_path):
+        # SOU n=16, mod-4 groups, threshold 10: the plan's minimum is 51
+        # evaluations per group.
+        cfg = BenchConfig.from_dict(bench_payload(
+            game={"type": "sou", "n": 16, "d": 20, "seed": 1},
+            methods=[{"name": "fgsv"}], budget=204, replications=1))
+        run_benchmark(cfg, tmp_path / "out")
+        with open(tmp_path / "out" / "results.csv") as fh:
+            assert sum(int(r["evals"]) for r in csv.DictReader(fh)) == 204
+        cfg.budget = 203
+        with pytest.raises(ConfigError, match="budget 203 below minimum 204 for fgsv"):
+            run_benchmark(cfg, tmp_path / "out2")
+
     def test_budget_below_interval_allowed_for_fgsv_alone(self, tmp_path):
         cfg = BenchConfig.from_dict(bench_payload(
             methods=[{"name": "fgsv", "size_threshold": 4}], budget=150,
@@ -408,15 +421,31 @@ def test_non_finite_sou_coefficient_exit_code(tmp_path, capsys, value):
 
 
 class TestConfigMistakes:
-    """Mistakes in axioms, exact and attack configs that the library would
-    raise as ValueError, or read as nonsense, are config errors (exit 2): a
-    tolerance that is not a finite non-negative JSON number, a game too
-    large for exact enumeration, and more groups than an exact group-as-player
-    value can enumerate."""
+    """Mistakes that the library would raise as ValueError or TypeError, or
+    read as nonsense, are config errors (exit 2): a tolerance that is not a
+    finite non-negative JSON number, a game too large for exact enumeration,
+    more groups than an exact group-as-player value can enumerate, a game
+    field that is not an integer, and an fgsv budget below what its plan
+    spends."""
 
     @staticmethod
     def sou(n):
         return {"type": "sou", "n": n, "d": 8, "seed": 1}
+
+    @staticmethod
+    def bench(game=None, **extra):
+        return bench_payload(game=game or {"type": "sou", "n": 8, "d": 24, "seed": 1},
+                             **extra)
+
+    @staticmethod
+    def explicit(subsets):
+        return {"type": "sou_explicit", "n": 4, "subsets": subsets,
+                "coefficients": [1.0] * 2}
+
+    # SOU n=16, mod-4 groups, threshold 10: one sample per cell is 51
+    # evaluations per group.
+    FGSV_ONLY = {"game": {"type": "sou", "n": 16, "d": 20, "seed": 1},
+                 "methods": [{"name": "fgsv"}], "replications": 1}
 
     def axioms(self, n=8, **extra):
         return {"schema_version": 1, "game": self.sou(n), "method": "fgsv",
@@ -433,6 +462,16 @@ class TestConfigMistakes:
          "attack with 'ubar' needs at most 20 groups, got 21 after the largest split"),
         ("axioms", "gsv_25_groups",
          "partitions[1]: axioms with method gsv needs at most 20 groups, got 25"),
+        ("bench", "seed_float", "game: seed must be an integer >= 0, got 1.5"),
+        ("bench", "seed_string", "game: seed must be an integer >= 0, got 'x'"),
+        ("bench", "n_float", "game: n must be an integer >= 1, got 8.9"),
+        ("bench", "n_string", "game: n must be an integer >= 1, got '8'"),
+        ("bench", "d_float", "game: d must be an integer >= 1, got 24.5"),
+        ("bench", "regression_seed_float", "game: seed must be an integer >= 0, got 0.5"),
+        ("bench", "subsets_int", "game: subsets must be a list of index lists"),
+        ("bench", "subset_index_float", "game: subset index must be an integer >= 0, got 1.5"),
+        ("bench", "fgsv_budget_12", "budget 12 below minimum 204 for fgsv"),
+        ("bench", "fgsv_explicit_samples", "budget 400 below minimum 988 for fgsv"),
     ]
 
     @pytest.mark.parametrize("command,case,message", CASES,
@@ -454,6 +493,21 @@ class TestConfigMistakes:
             "gsv_25_groups": {"schema_version": 1, "game": self.sou(30), "method": "gsv",
                               "partitions": [{"rule": "mod", "k": 2},
                                              {"rule": "mod", "k": 25}]},
+            "seed_float": self.bench({"type": "sou", "n": 8, "d": 24, "seed": 1.5}),
+            "seed_string": self.bench({"type": "sou", "n": 8, "d": 24, "seed": "x"}),
+            "n_float": self.bench({"type": "sou", "n": 8.9, "d": 24, "seed": 1}),
+            "n_string": self.bench({"type": "sou", "n": "8", "d": 24, "seed": 1}),
+            "d_float": self.bench({"type": "sou", "n": 8, "d": 24.5, "seed": 1}),
+            "regression_seed_float": self.bench(
+                {"type": "regression_csv", "path": "data.csv", "test_fraction": 0.5,
+                 "lambda": 1.0, "seed": 0.5}),
+            "subsets_int": self.bench(self.explicit(5)),
+            "subset_index_float": self.bench(self.explicit([[0, 1.5], [2]])),
+            "fgsv_budget_12": self.bench(**self.FGSV_ONLY, budget=12),
+            "fgsv_explicit_samples": self.bench(
+                **{**self.FGSV_ONLY, "methods": [{"name": "fgsv", "grid_samples": 5,
+                                                   "pair_samples": 5}]},
+                budget=400),
         }[case]
         cfg = write_config(tmp_path, "cfg.json", payload)
         out = tmp_path / "out"

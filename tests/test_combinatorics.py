@@ -17,6 +17,7 @@ from groupshapley.combinatorics import (
     sample_paired_tuples,
     sample_subsets_with_intersection,
     sample_uniform_subsets,
+    size_term_weights,
 )
 from groupshapley.estimator import (
     EstimatorConfig,
@@ -196,6 +197,30 @@ class TestPmf:
         )
 
 
+class TestSizeTermWeights:
+    def test_matches_formula_on_support(self):
+        n, s0 = 12, 5
+        for s in range(1, n):
+            lo, w = size_term_weights(n, s0, s)
+            p = HypergeomParams(n, s0, s)
+            assert (lo, lo + len(w) - 1) == p.support()
+            for s1, wj in enumerate(w, start=lo):
+                assert wj == pytest.approx(
+                    p.pmf(s1) * n / (n - s) * (s1 / s - s0 / n), rel=1e-12, abs=1e-15)
+
+    def test_weights_are_centered(self):
+        # E[overlap] = s * s0 / n, so a constant conditional mean contributes 0.
+        for n in range(2, 30):
+            for s0 in range(n + 1):
+                for s in range(1, n):
+                    assert abs(size_term_weights(n, s0, s)[1].sum()) <= 1e-12 * n
+
+    @pytest.mark.parametrize("s", [0, 6, -1])
+    def test_size_out_of_range(self, s):
+        with pytest.raises(ValueError, match="out of range 1..5"):
+            size_term_weights(6, 2, s)
+
+
 class TestSubsetSampler:
     def test_forced_members(self):
         rng = np.random.default_rng(0)
@@ -216,7 +241,7 @@ class TestSubsetSampler:
         rng = np.random.default_rng(3)
         members = np.array([1, 4, 5])
         masks = sample_subsets_with_intersection(rng, 9, members, 4, 2, 500)
-        assert masks.shape == (500, 9)
+        assert masks.shape == (500, 9) and masks.flags.c_contiguous
         assert (masks.sum(axis=1) == 4).all()
         assert (masks[:, members].sum(axis=1) == 2).all()
 
@@ -254,6 +279,7 @@ class TestPairedSampler:
             assert z1[0] in {0, 1} - S
             assert z2[0] in {2, 3} - S
             assert len(S & {0, 1}) == 1
+            assert masks.flags.c_contiguous
 
     def test_empty_member_pool_diagnostic(self):
         rng = np.random.default_rng(0)

@@ -15,6 +15,7 @@ from groupshapley.estimator import (
 from groupshapley.exact import (
     exact_faithful_group_shapley,
     exact_mean_utility,
+    exact_size_term,
 )
 from groupshapley.games import (
     IntersectionSizeGame,
@@ -119,6 +120,24 @@ class TestEstimateGroupValue:
             assert est.value == pytest.approx(
                 exact_faithful_group_shapley(g, members), abs=1e-9
             )
+
+    def test_enumerated_terms_equal_exact_size_terms(self):
+        # Engine and oracle weight the same conditional means with the same
+        # size-term weights, so enumerated runs agree bit for bit.
+        for n, seed, members in ((7, 3, [0, 2, 5]), (8, 11, [1, 2, 3, 6]), (9, 4, [4])):
+            g = sou_generate(n, 3 * n, seed)
+            cfg = EstimatorConfig(size_threshold=n, grid_samples=10**9, pair_samples=1,
+                                  exhaustive_small_sizes=True)
+            est = estimate_group_value(g, members, cfg, rng=np.random.default_rng(0))
+            for s in range(1, n):
+                assert est.per_size_terms[s - 1] == exact_size_term(g, members, s)
+
+    @pytest.mark.parametrize("members", [[], range(6)], ids=["empty", "full"])
+    def test_config_validated_before_shortcuts(self, members):
+        g = sou_generate(6, 10, 4)
+        bad = EstimatorConfig(size_threshold=0, grid_samples=0, pair_samples=0)
+        with pytest.raises(ValueError):
+            estimate_group_value(g, members, bad, rng=np.random.default_rng(0))
 
     def test_full_group_short_circuit(self):
         g = sou_generate(6, 10, 4)
