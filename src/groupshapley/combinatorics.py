@@ -101,10 +101,15 @@ def _member_indices(members, n: int) -> np.ndarray:
     return idx
 
 
-# Rounds of redraws for rows whose keys tie at the threshold. A row of
-# width w ties there with probability ~w * 2^-31 (~2^-21 at w = 1024), so
-# a tie that survives four redraws means a broken generator.
+# Rounds of redraws for rows whose keys tie at the threshold. The first
+# round draws 16-bit keys for pools of at most ``_KEY16_MAX_WIDTH``; two
+# neighbouring keys of a row of width w tie with probability ~w * 2^-17
+# (0.8% of rows at w = 1024, twice that where a next key is wanted too).
+# Every redraw, and every wider pool, draws 32-bit keys, which tie with
+# probability ~w * 2^-33. So a tie that survives four redraws means a
+# broken generator.
 _TIE_REDRAWS = 4
+_KEY16_MAX_WIDTH = 4096
 
 # Bit generators whose ``random_raw`` words carry 64 random bits. Any other
 # (MT19937's words hold 32 bits and zeros) draws its keys through
@@ -112,41 +117,53 @@ _TIE_REDRAWS = 4
 _RAW64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
 
 
-def _draw_keys(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
-    """(count, width) uint32 keys, two per 64-bit raw word where the bit
-    generator is in ``_RAW64``: half the bytes of float64 keys, for every
-    later step as well."""
+def _draw_keys(rng: np.random.Generator, count: int, width: int, dtype) -> np.ndarray:
+    """(count, width) random keys of an unsigned ``dtype``, several per 64-bit
+    raw word where the bit generator is in ``_RAW64``."""
+    dtype = np.dtype(dtype)
     if not isinstance(rng.bit_generator, _RAW64):
-        return rng.integers(0, 1 << 32, size=(count, width), dtype=np.uint32)
+        return rng.integers(0, 1 << (8 * dtype.itemsize), size=(count, width), dtype=dtype)
     size = count * width
-    raw = rng.bit_generator.random_raw((size + 1) // 2)
-    return raw.view(np.uint32)[:size].reshape(count, width)
+    per_word = 8 // dtype.itemsize
+    raw = rng.bit_generator.random_raw(-(-size // per_word))
+    return raw.view(dtype)[:size].reshape(count, width)
 
 
-def _threshold(keys: np.ndarray, k, one_k: bool):
-    """Masks of the keys below each row's (k+1)-th smallest and of the keys
-    equal to it; a row with k = width selects all and has no next key."""
+def _threshold(keys: np.ndarray, k, one_k: bool, with_next: bool):
+    """Masks of the keys below each row's (k+1)-th smallest and, with
+    ``with_next``, of the keys equal to it (else None); a row with k = width
+    selects all and has no next key."""
     count, width = keys.shape
     if one_k:
         kth = np.partition(keys, k, axis=1)[:, k, None]
-        return keys < kth, keys == kth
+        return keys < kth, (keys == kth) if with_next else None
     full = k == width
     kth = np.take_along_axis(np.sort(keys, axis=1), np.minimum(k, width - 1)[:, None], axis=1)
-    mask, nxt = keys < kth, keys == kth
-    mask[full], nxt[full] = True, False
+    mask, nxt = keys < kth, (keys == kth) if with_next else None
+    mask[full] = True
+    if with_next:
+        nxt[full] = False
     return mask, nxt
 
 
-def _select_smallest(rng: np.random.Generator, count: int, width: int, k):
-    """Rank selection on uint32 random keys, with ``k`` one int or one int
-    per row in [0, width]. Returns the masks of each row's k smallest keys
-    and of its (k+1)-th smallest (empty where k = width). The threshold comes
-    from ``np.partition`` for one k, else from a row sort.
+def _select_smallest(rng: np.random.Generator, count: int, width: int, k,
+                     pushed=(), with_next: bool = False):
+    """Rank selection on random keys, with ``k`` one int or one int per row in
+    [0, width]. Returns the mask of each row's k smallest keys and, with
+    ``with_next``, the pair (that mask, the mask of its (k+1)-th smallest),
+    the latter empty where k = width. The threshold comes from
+    ``np.partition`` for one k, else from a row sort. ``pushed`` holds
+    per-row column indices (arrays of length ``count``) whose keys are set
+    past every other key, so the row selects among its other columns.
 
-    A row whose (k+1)-th key ties with the k-th or the (k+2)-th is drawn
-    again: rejecting a tie is symmetric under permutations of the row, so
-    the subset and the next key stay uniform. After ``_TIE_REDRAWS`` rounds
-    that still tie, FloatingPointError."""
+    A row is drawn again when its k-th key ties with its (k+1)-th, or, with
+    ``with_next``, its (k+1)-th with its (k+2)-th. Rejecting a tie is
+    symmetric under permutations of the columns that are not pushed, so the
+    subset (and the next key) stay uniform. A batch draws no keys when every
+    row keeps none or all of the pool and wants no next key. The first round
+    draws 16-bit keys for pools of at most ``_KEY16_MAX_WIDTH``; redraws draw
+    32-bit keys. After ``_TIE_REDRAWS`` rounds that still tie,
+    FloatingPointError."""
     # One k is checked in Python: at small widths the array check was a
     # quarter of the call.
     one_k = isinstance(k, (int, np.integer)) or np.ndim(k) == 0
@@ -154,31 +171,48 @@ def _select_smallest(rng: np.random.Generator, count: int, width: int, k):
         k = int(k)
         if not 0 <= k <= width:
             raise ValueError(f"subset size out of range [0, {width}]: {k}")
-        want, expected = 1, count if k < width else 0
+        forced = k == width or (k == 0 and not with_next)
     else:
         k = np.asarray(k, dtype=np.intp)
         if ((k < 0) | (k > width)).any():
             raise ValueError(f"subset size out of range [0, {width}]: {k}")
-        want = k < width
-        expected = np.count_nonzero(want)
-    if not expected:  # every row takes the whole pool, or there is no row
-        return np.ones((count, width), dtype=bool), np.zeros((count, width), dtype=bool)
-    mask, nxt = _threshold(_draw_keys(rng, count, width), k, one_k)
-    # Every row with k < width has at least one key equal to its threshold,
-    # and exactly one iff nothing ties there; then it also has exactly k
-    # keys below. So one total count clears the whole batch.
-    if np.count_nonzero(nxt) == expected:
-        return mask, nxt
-    # A row with k = width never ties, so each tied row wants one next key.
-    tied = np.flatnonzero(np.count_nonzero(nxt, axis=1) != want)
-    for _ in range(_TIE_REDRAWS):
-        mask[tied], nxt[tied] = _threshold(
-            _draw_keys(rng, len(tied), width), k if one_k else k[tied], one_k)
-        tied = tied[np.count_nonzero(nxt[tied], axis=1) != 1]
-        if not tied.size:
-            return mask, nxt
-    raise FloatingPointError("random keys still tied at the selection threshold "
-                             f"after {_TIE_REDRAWS} redraws")
+        forced = ((k == width) | ((k == 0) & (not with_next))).all()
+    if forced or not count:
+        mask = np.broadcast_to(np.reshape(k == width, (-1, 1)), (count, width)).copy()
+        return (mask, np.zeros_like(mask)) if with_next else mask
+    # With a next key, a row with k < width has at least one key equal to its
+    # threshold, and exactly one iff nothing ties there; then it also has
+    # exactly k keys below. Without, a row has at most k keys below its
+    # threshold, and exactly k iff its k-th and (k+1)-th keys differ. So one
+    # total count of one mask clears the whole batch.
+    want = (k < width) if with_next else k
+    expected = count * want if one_k else int(want.sum())
+
+    def draw(rows, dtype):
+        keys = _draw_keys(rng, len(rows), width, dtype)
+        at, top = np.arange(len(rows)), (1 << 8 * keys.itemsize) - 1
+        for cols in pushed:
+            keys[at, cols[rows]] = top
+        return _threshold(keys, k if one_k else k[rows], one_k, with_next)
+
+    mask, nxt = draw(np.arange(count), np.uint16 if width <= _KEY16_MAX_WIDTH else np.uint32)
+    check = nxt if with_next else mask
+    if np.count_nonzero(check) != expected:
+        # Per-row sums in int32 take a third of the time of per-row
+        # count_nonzero.
+        tied = np.flatnonzero(check.sum(axis=1, dtype=np.int32) != want)
+        for _ in range(_TIE_REDRAWS):
+            mask[tied], part = draw(tied, np.uint32)
+            if with_next:
+                nxt[tied] = part
+            tied = tied[check[tied].sum(axis=1, dtype=np.int32)
+                        != (want if one_k else want[tied])]
+            if not tied.size:
+                break
+        else:
+            raise FloatingPointError("random keys still tied at the selection threshold "
+                                     f"after {_TIE_REDRAWS} redraws")
+    return (mask, nxt) if with_next else mask
 
 
 def _split_indices(members: np.ndarray, n: int) -> np.ndarray:
@@ -209,17 +243,13 @@ def sample_subsets_with_intersection(
 
     Each draw takes s1 indices from ``members`` and s-s1 from the complement,
     both uniformly without replacement, via rank selection on random keys. A
-    pool draws keys only when it contributes at least one index.
+    pool draws keys only when it contributes some but not all of its indices.
     """
     members = _member_indices(members, n)
     _check_feasible(n, len(members), s, s1)
     comp = _split_indices(members, n)
-    part_in, part_out = (
-        _select_smallest(rng, count, len(pool), k)[0] if k > 0
-        else np.zeros((count, len(pool)), dtype=bool)
-        for pool, k in ((members, s1), (comp, s - s1))
-    )
-    return _assemble(members, comp, part_in, part_out)
+    return _assemble(members, comp, _select_smallest(rng, count, len(members), s1),
+                     _select_smallest(rng, count, len(comp), s - s1))
 
 
 def sample_paired_tuples(
@@ -227,16 +257,42 @@ def sample_paired_tuples(
     n: int,
     members: np.ndarray,
     s: int,
-    s1: int,
+    s1: int | None,
     count: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draws (S, z1, z2) tuples: S as in :func:`sample_subsets_with_intersection`,
-    z1 uniform over members∖S and z2 uniform over the complement of members, minus S.
+    """Draws (S, z1, z2) tuples with |S| = s, z1 a member and z2 a non-member,
+    neither in S. Returns (masks, z1s, z2s).
 
-    Returns (masks, z1s, z2s). Requires both residual pools to be non-empty.
+    With ``s1=None``: z1 uniform over the members, z2 uniform over the
+    non-members, and S uniform over the s-subsets of the other n - 2 indices,
+    so its overlap with the members is drawn. This is the exact paired step of
+    the size decomposition. The keys of z1 and z2 are pushed past every other
+    key, so one selection over all n indices draws S.
+
+    With an integer ``s1``: S as in :func:`sample_subsets_with_intersection`,
+    z1 uniform over members∖S and z2 uniform over the non-members outside S.
+    Requires both residual pools to be non-empty.
     """
     members = _member_indices(members, n)
     s0 = len(members)
+    comp = _split_indices(members, n)
+    if s1 is None:
+        if not 0 < s0 < n:
+            raise ValueError(f"paired tuples need a member and a non-member: "
+                             f"|members|={s0}, n={n}")
+        if not 0 <= s <= n - 2:
+            raise ValueError(f"subset size out of range [0, {n - 2}]: {s}")
+        # One uniform draw over the s0 * (n - s0) pairs: z1 and z2 are
+        # independent and uniform over their pools.
+        pair = rng.integers(0, s0 * (n - s0), size=count)
+        z1, z2 = members[pair // (n - s0)], comp[pair % (n - s0)]
+        if s < n - 2:
+            return _select_smallest(rng, count, n, s, pushed=(z1, z2)), z1, z2
+        # S is everything but z1 and z2.
+        masks = np.ones((count, n), dtype=bool)
+        rows = np.arange(count)
+        masks[rows, z1] = masks[rows, z2] = False
+        return masks, z1, z2
     _check_feasible(n, s0, s, s1)
     if s0 - s1 < 1:
         raise ValueError(
@@ -246,11 +302,10 @@ def sample_paired_tuples(
         raise ValueError(
             f"no non-member left outside S: n-|members|={n - s0}, s-s1={s - s1}"
         )
-    comp = _split_indices(members, n)
     # The (k+1)-th smallest key of each pool is a uniform draw from the rest.
-    part_in, nxt = _select_smallest(rng, count, s0, s1)
+    part_in, nxt = _select_smallest(rng, count, s0, s1, with_next=True)
     z1 = members[nxt.argmax(axis=1)]
-    part_out, nxt = _select_smallest(rng, count, len(comp), s - s1)
+    part_out, nxt = _select_smallest(rng, count, len(comp), s - s1, with_next=True)
     z2 = comp[nxt.argmax(axis=1)]
     return _assemble(members, comp, part_in, part_out), z1, z2
 
@@ -260,4 +315,4 @@ def sample_uniform_subsets(
 ) -> np.ndarray:
     """Boolean masks (count, n) of uniform subsets of {0..n-1}; ``s`` is one
     size in [0, n] or one size per row."""
-    return _select_smallest(rng, count, n, s)[0]
+    return _select_smallest(rng, count, n, s)

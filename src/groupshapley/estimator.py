@@ -1,15 +1,17 @@
 """Two-regime Monte Carlo estimator for the faithful group Shapley value.
 
 Small coalition sizes get the full hypergeometric grid of conditional mean
-utilities; large sizes collapse to a single paired difference at the expected
-overlap, which is where almost all of the budget savings come from.
+utilities; each large size collapses to one exact paired difference,
+U(R ∪ {z1}) - U(R ∪ {z2}) with z1 a member, z2 a non-member and R uniform
+over the rest (Myerson's balanced contributions), which is where almost all
+of the budget savings come from.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,24 +70,34 @@ class GroupValueEstimate:
 def _size_plan(n: int, s0: int, size_threshold: int):
     """The coalition sizes one estimator run evaluates, in order.
 
-    Yields ``(s, cells, paired)``, each cell an ``(s1, weight)`` pair whose
-    estimate enters the FGSV as ``weight * estimate``. A grid size below the
+    Yields ``(s, cells)``, each cell an ``(s1, weight)`` pair whose estimate
+    enters the FGSV as ``weight * estimate``. A grid size below the
     threshold has one cell per feasible overlap, weighted by
-    :func:`size_term_weights`, each a mean utility. A paired size has one
-    cell, a paired difference at the expected overlap, clamped so that both
-    residual pools stay non-empty, weighted by n/(n-1)·α0(1-α0). Paired sizes
-    with no such overlap contribute zero and are left out.
+    :func:`size_term_weights`, each a mean utility. A paired size s has one
+    cell, weighted by n/(n-1)·α0(1-α0): the mean of U(R ∪ {z1}) - U(R ∪ {z2})
+    with z1 uniform over the members, z2 uniform over the non-members and R,
+    |R| = s - 1, uniform over the other n - 2 players. Its overlap is drawn,
+    so its s1 is None. Weighted so, it equals the exact size-s term.
     """
     alpha0 = s0 / n
     paired_weight = (n / (n - 1)) * alpha0 * (1 - alpha0)
     for s in range(1, n):
         if s < size_threshold:
             lo, weights = size_term_weights(n, s0, s)
-            yield s, list(enumerate(weights, start=lo)), False
-            continue
-        lo, hi = max(0, s + s0 - n + 1), min(s, s0 - 1)
-        if lo <= hi:
-            yield s, [(min(max(math.floor(s * alpha0), lo), hi), paired_weight)], True
+            yield s, list(enumerate(weights, start=lo))
+        else:
+            yield s, [(None, paired_weight)]
+
+
+def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
+    """Mean of sampled ``values`` and the variance of that mean (from the
+    unbiased sample variance; zero for one value)."""
+    m = len(values)
+    mean = values.sum() / m
+    if m < 2:
+        return float(mean), 0.0
+    dev = values - mean
+    return float(mean), float(dev @ dev) / ((m - 1) * m)
 
 
 def _mean_utility(
@@ -101,9 +113,7 @@ def _mean_utility(
         masks = _family_masks(n, members, s, s1)
         return float(game.evaluate_masks(masks).mean()), 0.0, len(masks)
     masks = sample_subsets_with_intersection(rng, n, members, s, s1, samples)
-    utils = game.evaluate_masks(masks)
-    var = float(utils.var(ddof=1)) if samples > 1 else 0.0
-    return float(utils.mean()), var / samples, samples
+    return *_mean_and_variance(game.evaluate_masks(masks)), samples
 
 
 def estimate_mean_utility(
@@ -132,16 +142,18 @@ def estimate_mean_utility_gap(
 ) -> float:
     """Paired Monte Carlo estimate of the change in conditional mean utility
     when one more member replaces a non-member: averages
-    U(S ∪ {member}) - U(S ∪ {non-member}) over shared base subsets S."""
+    U(S ∪ {member}) - U(S ∪ {non-member}) over shared base subsets S with
+    |S| = s and overlap s1 fixed."""
     members = _member_indices(members, game.n)
     return _mean_utility_gap(game, members, s, s1, samples, rng)[0]
 
 
 def _mean_utility_gap(
-    game: Game, members: np.ndarray, s: int, s1: int, samples: int,
+    game: Game, members: np.ndarray, s: int, s1: int | None, samples: int,
     rng: np.random.Generator,
 ) -> tuple[float, float, int]:
-    """Mean of the paired differences, the variance of that mean, and the
+    """Mean of the paired differences over base subsets of size s (overlap
+    s1, or drawn where s1 is None), the variance of that mean, and the
     number of evaluations spent, for parsed members."""
     with_out, z1, z2 = sample_paired_tuples(rng, game.n, members, s, s1, samples)
     rows = np.arange(samples)
@@ -149,8 +161,7 @@ def _mean_utility_gap(
     with_in[rows, z1] = True
     with_out[rows, z2] = True
     diffs = game.evaluate_masks(with_in) - game.evaluate_masks(with_out)
-    var = float(diffs.var(ddof=1)) if samples > 1 else 0.0
-    return float(diffs.mean()), var / samples, 2 * samples
+    return *_mean_and_variance(diffs), 2 * samples
 
 
 def predicted_evaluations(n: int, s0: int, config: EstimatorConfig) -> int:
@@ -161,8 +172,8 @@ def predicted_evaluations(n: int, s0: int, config: EstimatorConfig) -> int:
     if s0 == n:
         return 2
     return 2 + sum(
-        len(cells) * (2 * config.pair_samples if paired else config.grid_samples)
-        for _, cells, paired in _size_plan(n, s0, config.size_threshold)
+        2 * config.pair_samples if s1 is None else config.grid_samples
+        for _, cells in _size_plan(n, s0, config.size_threshold) for s1, _ in cells
     )
 
 
@@ -198,12 +209,12 @@ def _run_plan(
     per_size = np.zeros(n - 1)
     variance_total = 0.0
 
-    for s, cells, paired in _size_plan(n, s0, config.size_threshold):
+    for s, cells in _size_plan(n, s0, config.size_threshold):
         term = 0.0
         for s1, weight in cells:
-            if paired:
+            if s1 is None:
                 mean, mean_var, spent = _mean_utility_gap(
-                    pair_game, members, s, s1, config.pair_samples, rng)
+                    pair_game, members, s - 1, s1, config.pair_samples, rng)
             else:
                 mean, mean_var, spent = _mean_utility(
                     game, members, s, s1, config.grid_samples, rng,
@@ -229,9 +240,8 @@ def estimate_group_value(
     """Two-regime estimate of the faithful group Shapley value of ``members``.
 
     Sizes below the threshold use per-overlap mean-utility estimates combined
-    with exact hypergeometric weights; larger sizes use a single paired
-    difference at the expected overlap (clamped into the feasible range, with
-    infeasible sizes contributing zero).
+    with exact hypergeometric weights; every larger size up to n - 1 uses one
+    exact paired difference (see :func:`_size_plan`).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -248,7 +258,9 @@ def choose_parameters(
 ) -> EstimatorConfig:
     """Accuracy-driven parameter choice: threshold and sample sizes scaled for
     an (epsilon, delta)-approximation, all hidden constants set to 1. With a
-    budget cap, both sample sizes are deflated proportionally."""
+    budget cap, both sample sizes are deflated proportionally, then grid
+    samples (and pair samples, once grid samples reach 1) are lowered until
+    the plan fits the cap. A cap below one sample per cell raises ValueError."""
     if not (0 < epsilon < 1) or not (0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
     if upsilon <= 0:
@@ -261,13 +273,31 @@ def choose_parameters(
     m2 = math.ceil(max(1.0, epsilon**-2 * (alpha0 * (1 - alpha0)) ** 2 * log_term**3))
     m1, m2 = max(1, m1), max(1, m2)
     config = EstimatorConfig(size_threshold=s_bar, grid_samples=m1, pair_samples=m2)
-    if budget_cap is not None:
-        predicted = predicted_evaluations(n, s0, config)
-        if predicted > budget_cap:
-            factor = budget_cap / predicted
-            config.grid_samples = max(1, int(m1 * factor))
-            config.pair_samples = max(1, int(m2 * factor))
-            log.info("budget cap deflated sample sizes by factor %.4g", factor)
+    if budget_cap is None:
+        return config
+
+    def cost(grid: int, pair: int) -> int:
+        return predicted_evaluations(n, s0, replace(config, grid_samples=grid,
+                                                    pair_samples=pair))
+
+    least = cost(1, 1)
+    if least > budget_cap:
+        raise ValueError(f"budget_cap {budget_cap} below the minimum {least} "
+                         f"of one sample per cell")
+    predicted = cost(m1, m2)
+    if predicted > budget_cap:
+        factor = budget_cap / predicted
+        grid, pair = max(1, int(m1 * factor)), max(1, int(m2 * factor))
+        # The floors of 1 and the endpoint evaluations can leave the plan
+        # over the cap; the cost is linear in each sample count.
+        excess = cost(grid, pair) - budget_cap
+        if excess > 0 and grid > 1:
+            grid = max(1, grid - -(-excess // (cost(2, 1) - least)))
+            excess = cost(grid, pair) - budget_cap
+        if excess > 0:
+            pair -= -(-excess // (cost(1, 2) - least))
+        config.grid_samples, config.pair_samples = grid, pair
+        log.info("budget cap deflated sample sizes by factor %.4g", factor)
     return config
 
 

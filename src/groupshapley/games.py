@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -507,20 +508,31 @@ SIZE_UTILITIES: dict[str, Callable[[int], float]] = {
 }
 
 
+def _integer_field(cfg: dict, key: str):
+    """``cfg[key]`` if it is an integer (numpy integers included, bools not);
+    anything else raises ValueError instead of being truncated."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def game_from_config(cfg: dict) -> Game:
     """Builds a game from its JSON-friendly description."""
     kind = cfg.get("type")
     if kind == "sou":
-        return sou_generate(int(cfg["n"]), int(cfg["d"]), cfg["seed"])
+        return sou_generate(int(_integer_field(cfg, "n")), int(_integer_field(cfg, "d")),
+                            _integer_field(cfg, "seed"))
     if kind == "sou_explicit":
-        return SOUGame(int(cfg["n"]), cfg["subsets"], cfg["coefficients"])
+        return SOUGame(int(_integer_field(cfg, "n")), cfg["subsets"], cfg["coefficients"])
     if kind == "size_only":
         name = cfg["name"]
         if name not in SIZE_UTILITIES:
             raise ValueError(f"unknown size-utility name {name!r}")
-        return SizeOnlyGame(int(cfg["n"]), SIZE_UTILITIES[name])
+        return SizeOnlyGame(int(_integer_field(cfg, "n")), SIZE_UTILITIES[name])
     if kind == "regression_csv":
         return load_regression_csv(
-            cfg["path"], float(cfg["test_fraction"]), float(cfg["lambda"]), cfg["seed"]
+            cfg["path"], float(cfg["test_fraction"]), float(cfg["lambda"]),
+            _integer_field(cfg, "seed"),
         )
     raise ValueError(f"unknown game type {kind!r}")

@@ -85,16 +85,16 @@ class TestConfigValidation:
             run_benchmark(cfg, tmp_path / "out")
 
     def test_fgsv_budget_minimum_is_spent_not_exceeded(self, tmp_path):
-        # SOU n=16, mod-4 groups, threshold 10: the plan's minimum is 51
+        # SOU n=16, mod-4 groups, threshold 10: the plan's minimum is 53
         # evaluations per group.
         cfg = BenchConfig.from_dict(bench_payload(
             game={"type": "sou", "n": 16, "d": 20, "seed": 1},
-            methods=[{"name": "fgsv"}], budget=204, replications=1))
+            methods=[{"name": "fgsv"}], budget=212, replications=1))
         run_benchmark(cfg, tmp_path / "out")
         with open(tmp_path / "out" / "results.csv") as fh:
-            assert sum(int(r["evals"]) for r in csv.DictReader(fh)) == 204
-        cfg.budget = 203
-        with pytest.raises(ConfigError, match="budget 203 below minimum 204 for fgsv"):
+            assert sum(int(r["evals"]) for r in csv.DictReader(fh)) == 212
+        cfg.budget = 211
+        with pytest.raises(ConfigError, match="budget 211 below minimum 212 for fgsv"):
             run_benchmark(cfg, tmp_path / "out2")
 
     def test_budget_below_interval_allowed_for_fgsv_alone(self, tmp_path):
@@ -150,7 +150,7 @@ class TestBenchCommand:
         # Keys that always tie are redrawn a fixed number of times, then the
         # run stops with a numeric error instead of looping.
         monkeypatch.setattr(combinatorics, "_draw_keys",
-                            lambda rng, count, width: np.zeros((count, width), np.uint32))
+                            lambda rng, count, width, dtype: np.zeros((count, width), dtype))
         cfg_path = write_config(tmp_path, "bench.json", bench_payload(replications=1))
         rc = cli.main(["bench", "--config", cfg_path, "--out", str(tmp_path / "out"),
                        "--threads", threads])
@@ -442,7 +442,7 @@ class TestConfigMistakes:
         return {"type": "sou_explicit", "n": 4, "subsets": subsets,
                 "coefficients": [1.0] * 2}
 
-    # SOU n=16, mod-4 groups, threshold 10: one sample per cell is 51
+    # SOU n=16, mod-4 groups, threshold 10: one sample per cell is 53
     # evaluations per group.
     FGSV_ONLY = {"game": {"type": "sou", "n": 16, "d": 20, "seed": 1},
                  "methods": [{"name": "fgsv"}], "replications": 1}
@@ -470,8 +470,8 @@ class TestConfigMistakes:
         ("bench", "regression_seed_float", "game: seed must be an integer >= 0, got 0.5"),
         ("bench", "subsets_int", "game: subsets must be a list of index lists"),
         ("bench", "subset_index_float", "game: subset index must be an integer >= 0, got 1.5"),
-        ("bench", "fgsv_budget_12", "budget 12 below minimum 204 for fgsv"),
-        ("bench", "fgsv_explicit_samples", "budget 400 below minimum 988 for fgsv"),
+        ("bench", "fgsv_budget_12", "budget 12 below minimum 212 for fgsv"),
+        ("bench", "fgsv_explicit_samples", "budget 400 below minimum 1028 for fgsv"),
     ]
 
     @pytest.mark.parametrize("command,case,message", CASES,

@@ -35,13 +35,44 @@ from groupshapley.games import IntersectionSizeGame, sou_generate
 
 
 # The four rank-selection samplers that one primitive replaced, kept verbatim
-# as references except for their keys: they draw the same uint32 words as
-# the primitive, and the same keys must select the same subsets.
+# as references except for their keys: they draw the same keys as the
+# primitive, and the same keys must select the same subsets.
 
-def _reference_keys(rng, count, width):
+def _reference_words(rng, count, width, bits):
     size = count * width
-    return rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size].reshape(
-        count, width)
+    per_word = 64 // bits
+    dtype = {16: np.uint16, 32: np.uint32}[bits]
+    return rng.bit_generator.random_raw(-(-size // per_word)).view(dtype)[:size].reshape(
+        count, width).astype(np.int64)
+
+
+def _reference_keys(rng, count, width, k, with_next=False, pushed=()):
+    """The keys the primitive selects from: 16-bit keys for widths up to
+    4096, with ``pushed`` columns set to the largest key; then each row whose
+    sorted keys tie at its threshold is drawn again from 32-bit keys, until
+    none ties. None where no row needs keys."""
+    k = np.broadcast_to(np.asarray(k), (count,))
+    needs = (k < width) & ((k > 0) | with_next)
+    if not needs.any():
+        return None if count else np.zeros((0, width), dtype=np.int64)
+    rows = np.arange(count)
+    bits = 16 if width <= 4096 else 32
+    keys = np.empty((count, width), dtype=np.int64)
+    while rows.size:
+        keys[rows] = _reference_words(rng, len(rows), width, bits)
+        for cols in pushed:
+            keys[rows, cols[rows]] = (1 << bits) - 1
+        ordered = np.sort(keys[rows], axis=1)
+        tied = []
+        for i, r in enumerate(rows):
+            kr, row = k[r], ordered[i]
+            if kr == width:
+                continue
+            if (kr > 0 and row[kr - 1] == row[kr]) or (
+                    with_next and kr + 1 < width and row[kr] == row[kr + 1]):
+                tied.append(r)
+        rows, bits = np.array(tied, dtype=np.intp), 32
+    return keys
 
 
 def _reference_subsets_with_intersection(rng, n, members, s, s1, count):
@@ -51,13 +82,13 @@ def _reference_subsets_with_intersection(rng, n, members, s, s1, count):
     masks = np.zeros((count, n), dtype=bool)
     rows = np.arange(count)[:, None]
     if s1 > 0:
-        chosen = np.argpartition(_reference_keys(rng, count, len(members)), s1 - 1,
+        chosen = np.argpartition(_reference_keys(rng, count, len(members), s1), s1 - 1,
                                  axis=1)[:, :s1] if s1 < len(members) \
             else np.tile(np.arange(len(members)), (count, 1))
         masks[rows, members[chosen]] = True
     s2 = s - s1
     if s2 > 0:
-        chosen = np.argpartition(_reference_keys(rng, count, len(comp)), s2 - 1,
+        chosen = np.argpartition(_reference_keys(rng, count, len(comp), s2), s2 - 1,
                                  axis=1)[:, :s2] if s2 < len(comp) \
             else np.tile(np.arange(len(comp)), (count, 1))
         masks[rows, comp[chosen]] = True
@@ -82,18 +113,35 @@ def _reference_paired_tuples(rng, n, members, s, s1, count):
 
     # Rank selection: the s1 smallest keys form S's member part and the
     # (s1+1)-th smallest is a uniform draw from the remainder.
-    keys = _reference_keys(rng, count, s0)
+    keys = _reference_keys(rng, count, s0, s1, with_next=True)
     order = np.argpartition(keys, s1, axis=1)
     if s1 > 0:
         masks[rows, members[order[:, :s1]]] = True
     z1 = members[order[:, s1]]
 
     s2 = s - s1
-    keys = _reference_keys(rng, count, len(comp))
+    keys = _reference_keys(rng, count, len(comp), s2, with_next=True)
     order = np.argpartition(keys, s2, axis=1)
     if s2 > 0:
         masks[rows, comp[order[:, :s2]]] = True
     z2 = comp[order[:, s2]]
+    return masks, z1, z2
+
+
+def _reference_exact_tuples(rng, n, members, s, count):
+    members = np.asarray(members, dtype=np.intp)
+    comp = _split_indices(members, n)
+    pair = rng.integers(0, len(members) * len(comp), size=count)
+    z1, z2 = members[pair // len(comp)], comp[pair % len(comp)]
+    rows = np.arange(count)
+    if s == n - 2:
+        masks = np.ones((count, n), dtype=bool)
+        masks[rows, z1] = masks[rows, z2] = False
+        return masks, z1, z2
+    masks = np.zeros((count, n), dtype=bool)
+    if s > 0:
+        keys = _reference_keys(rng, count, n, s, pushed=(z1, z2))
+        masks[rows[:, None], np.argpartition(keys, s - 1, axis=1)[:, :s]] = True
     return masks, z1, z2
 
 
@@ -102,9 +150,9 @@ def _reference_uniform_subsets(rng, n, s, count):
     if s == n:
         masks[:] = True
         return masks
-    keys = _reference_keys(rng, count, n)
     if s == 0:
         return masks
+    keys = _reference_keys(rng, count, n, s)
     chosen = np.argpartition(keys, s - 1, axis=1)[:, :s]
     masks[np.arange(count)[:, None], chosen] = True
     return masks
@@ -112,9 +160,9 @@ def _reference_uniform_subsets(rng, n, s, count):
 
 def _reference_ranked_masks(rng, count, width, sizes):
     sizes = np.asarray(sizes)
-    if (sizes == width).all():
-        return np.ones((count, width), dtype=bool)
-    keys = _reference_keys(rng, count, width)
+    keys = _reference_keys(rng, count, width, sizes)
+    if keys is None:
+        return np.arange(width) < sizes[:, None]
     ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
     return ranks < sizes[:, None]
 
@@ -410,11 +458,12 @@ def _same_state(a, b):
 
 
 class TestSelectionReference:
-    """The samplers select the same subsets from the same uint32 keys as the
+    """The samplers select the same subsets from the same keys as the
     rank-selection code they replaced, and leave the generator in the same
-    state. Keys are drawn for every pool that keeps fewer than all of its
-    indices (so ``sample_uniform_subsets`` draws at s = 0 and not at s = n),
-    and for a per-row draw unless every row keeps its whole pool."""
+    state. Keys are drawn for every pool that keeps some but not all of its
+    indices, or that also draws a next index (so ``sample_uniform_subsets``
+    draws neither at s = 0 nor at s = n), and for a per-row draw unless every
+    row keeps none or all of its pool."""
 
     @pytest.mark.parametrize("n", range(11))
     def test_fixed_sizes(self, n):
@@ -431,6 +480,8 @@ class TestSelectionReference:
                     assert _same_state(got_rng, want_rng)
                     for s1 in range(max(0, s - (n - s0)), min(s, s0) + 1):
                         self._check(n, members, s, s1, count, seed)
+                    if 0 < s0 < n and s <= n - 2:
+                        self._check_exact(n, members, s, count, seed)
 
     @pytest.mark.parametrize("s0, s, s1", [
         (256, 10, 2), (256, 500, 125), (256, 1000, 250), (1, 700, 0), (1023, 1022, 1021),
@@ -439,6 +490,7 @@ class TestSelectionReference:
         n = 1024
         members = np.sort(np.random.default_rng(s).choice(n, size=s0, replace=False))
         self._check(n, members, s, s1, 64, s0 + s)
+        self._check_exact(n, members, min(s, n - 2), 64, s0 + s)
 
     @staticmethod
     def _check(n, members, s, s1, count, seed):
@@ -459,11 +511,21 @@ class TestSelectionReference:
             assert np.array_equal(a, b)
         assert _same_state(got_rng, want_rng)
 
-    @pytest.mark.parametrize("width", [1, 2, 64, 65, 1025])
+    @staticmethod
+    def _check_exact(n, members, s, count, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_paired_tuples(got_rng, n, members, s, None, count)
+        want = _reference_exact_tuples(want_rng, n, members, s, count)
+        assert got[0].shape == (count, n) and got[0].flags.c_contiguous
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert _same_state(got_rng, want_rng)
+
+    @pytest.mark.parametrize("width", [1, 2, 64, 65, 1025, 4097])
     def test_per_row_sizes(self, width):
         pick = np.random.default_rng(width)
         for sizes in (np.concatenate([[0, width], pick.integers(0, width + 1, 48)]),
-                      np.full(3, width), np.zeros(0, dtype=int)):
+                      np.full(3, width), np.zeros(0, dtype=int), np.array([0, width, 0])):
             got_rng, want_rng = np.random.default_rng(width), np.random.default_rng(width)
             got = sample_uniform_subsets(got_rng, width, sizes, len(sizes))
             want = _reference_ranked_masks(want_rng, len(sizes), width, sizes)
@@ -474,21 +536,22 @@ class TestSelectionReference:
 class _RawWords(np.random.PCG64):
     """Generator stand-in with a 64-bit bit generator:
     ``bit_generator.random_raw(size)`` returns ``words(size, call)`` as
-    uint64 and logs each size."""
+    uint64 and logs each size; ``integers`` comes from a real generator."""
 
     def __init__(self, words):
         super().__init__(0)
         self.words = words
         self.sizes = []
         self.bit_generator = self
+        self.integers = np.random.default_rng(0).integers
 
     def random_raw(self, size):
         self.sizes.append(size)
         return np.asarray(self.words(size, len(self.sizes) - 1), dtype=np.uint64)
 
 
-def _keys_of(words, count, width):
-    return np.asarray(words).view(np.uint32)[:count * width].reshape(count, width)
+def _keys_of(words, count, width, dtype):
+    return np.asarray(words).view(dtype)[:count * width].reshape(count, width)
 
 
 class TestTiedKeys:
@@ -499,17 +562,24 @@ class TestTiedKeys:
     @pytest.mark.parametrize("draw", [
         lambda rng: sample_subsets_with_intersection(rng, 6, [0, 1, 2], 3, 1, 4),
         lambda rng: sample_paired_tuples(rng, 6, [0, 1, 2], 3, 1, 4),
+        lambda rng: sample_paired_tuples(rng, 6, [0, 1, 2], 2, None, 4),
         lambda rng: sample_uniform_subsets(rng, 6, 2, 4),
         lambda rng: sample_uniform_subsets(rng, 6, [0, 2, 6, 1], 4),
     ])
     def test_raises(self, draw):
-        rng = _RawWords(lambda size, call: np.full(size, 0x9E3779B9_9E3779B9))
+        # Every 16-bit and every 32-bit key is the same.
+        rng = _RawWords(lambda size, call: np.full(size, 0x9E379E37_9E379E37))
         with pytest.raises(FloatingPointError):
             draw(rng)
         assert len(rng.sizes) == 1 + _TIE_REDRAWS
 
     @pytest.mark.parametrize("k", [0, 2, 5, [3, 0, 6, 5, 2, 1, 4, 3]])
     def test_redraws_only_tied_rows(self, k):
+        for with_next in (False, True):
+            self._check_redraws(k, with_next)
+
+    @staticmethod
+    def _check_redraws(k, with_next):
         count, width, tied = 8, 6, [1, 2, 6]
         real = np.random.default_rng(5)
         draws = []
@@ -517,45 +587,54 @@ class TestTiedKeys:
         def words(size, call):
             w = real.bit_generator.random_raw(size)
             if call == 0:
-                keys = _keys_of(w, count, width)
+                keys = _keys_of(w, count, width, np.uint16)
                 keys[tied] = 7  # ties at every threshold
             draws.append(w)
             return w
 
         rng = _RawWords(words)
-        mask, nxt = _select_smallest(rng, count, width, k)
+        got = _select_smallest(rng, count, width, k, with_next=with_next)
+        mask, nxt = got if with_next else (got, None)
         sizes = np.broadcast_to(k, count)
-        redrawn = [r for r in tied if sizes[r] < width]
-        assert rng.sizes == [count * width // 2, len(redrawn) * width // 2]
+        drawn = (sizes < width) & ((sizes > 0) | with_next)
+        redrawn = [r for r in tied if drawn[r]]
+        # 16-bit keys in the first round, four per word; 32-bit keys after.
+        assert rng.sizes == ([count * width // 4, len(redrawn) * width // 2]
+                             if drawn.any() else [])
         assert (mask.sum(axis=1) == sizes).all()
-        assert (nxt.sum(axis=1) == (sizes < width)).all()
-        assert not (mask & nxt).any()
+        if not drawn.any():
+            return
         # Each row's selection comes from the keys of the round that kept it.
-        keys = _keys_of(draws[0], count, width).copy()
-        keys[redrawn] = _keys_of(draws[1], len(redrawn), width)
+        keys = _keys_of(draws[0], count, width, np.uint16).astype(np.int64)
+        keys[redrawn] = _keys_of(draws[1], len(redrawn), width, np.uint32)
         ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
         assert np.array_equal(mask, ranks < sizes[:, None])
-        assert np.array_equal(nxt, ranks == sizes[:, None])
+        if with_next:
+            assert (nxt.sum(axis=1) == (sizes < width)).all()
+            assert not (mask & nxt).any()
+            assert np.array_equal(nxt, ranks == sizes[:, None])
 
     @pytest.mark.parametrize("per_row", [False, True])
     @pytest.mark.parametrize("source", ["pcg64", "coarse", "mt19937"])
     @pytest.mark.parametrize("width, k", [(w, k) for w in (2, 3, 5) for k in range(w)])
     def test_joint_subset_and_next_uniform(self, width, k, source, per_row):
-        # Coarse keys keep 8 bits of each 32, so ~1-4% of rows tie and are
-        # redrawn. MT19937's raw words hold only 32 random bits, so half of
-        # a raw-word view would be zero keys. The pair (S, z) must stay
-        # uniform over its C(width, k) * (width - k) values either way.
+        # Coarse keys keep 8 bits of each 16, so ~1-4% of rows tie in the
+        # first round and are redrawn. MT19937's raw words hold only 32
+        # random bits, so a raw-word view would hold zero keys. The pair
+        # (S, z) must stay uniform over its C(width, k) * (width - k) values
+        # either way.
         seed = 1000 * width + 10 * k + per_row
         if source == "mt19937":
             rng = np.random.Generator(np.random.MT19937(seed))
         elif source == "coarse":
             real = np.random.default_rng(seed)
             rng = _RawWords(lambda size, call:
-                            real.bit_generator.random_raw(size) & 0x000000FF_000000FF)
+                            real.bit_generator.random_raw(size) & 0x00FF00FF_00FF00FF)
         else:
             rng = np.random.default_rng(seed)
         draws = 3 * 10**4
-        mask, nxt = _select_smallest(rng, draws, width, np.full(draws, k) if per_row else k)
+        mask, nxt = _select_smallest(rng, draws, width, np.full(draws, k) if per_row else k,
+                                     with_next=True)
         assert (mask.sum(axis=1) == k).all() and (nxt.sum(axis=1) == 1).all()
         outcome = (mask @ (1 << np.arange(width))) * width + nxt.argmax(axis=1)
         _, counts = np.unique(outcome, return_counts=True)
@@ -564,6 +643,32 @@ class TestTiedKeys:
         exp = draws / cells
         stat = ((counts - exp) ** 2 / exp).sum()
         assert stat < scipy.stats.chi2.ppf(1 - 1e-6, df=cells - 1)
+
+    @pytest.mark.parametrize("source", ["pcg64", "coarse", "mt19937"])
+    def test_exact_tuples_uniform(self, source):
+        # n = 6, members {0, 1}, coalitions of size 3: z1 in {0, 1}, z2 in
+        # {2, ..., 5} and R one of the C(4, 2) pairs of the other four, so
+        # 2 * 4 * 6 = 48 equally likely tuples.
+        n, members, draws = 6, np.array([0, 1]), 48 * 1000
+        if source == "mt19937":
+            rng = np.random.Generator(np.random.MT19937(17))
+        elif source == "coarse":
+            real = np.random.default_rng(17)
+            rng = _RawWords(lambda size, call:
+                            real.bit_generator.random_raw(size) & 0x00FF00FF_00FF00FF)
+        else:
+            rng = np.random.default_rng(17)
+        masks, z1, z2 = sample_paired_tuples(rng, n, members, 2, None, draws)
+        rows = np.arange(draws)
+        assert (masks.sum(axis=1) == 2).all()
+        assert not masks[rows, z1].any() and not masks[rows, z2].any()
+        assert np.isin(z1, members).all() and not np.isin(z2, members).any()
+        outcome = ((masks @ (1 << np.arange(n))) * n + z1) * n + z2
+        _, counts = np.unique(outcome, return_counts=True)
+        assert len(counts) == 48
+        exp = draws / 48
+        stat = ((counts - exp) ** 2 / exp).sum()
+        assert stat < scipy.stats.chi2.ppf(1 - 1e-6, df=47)
 
 
 # Every public function that takes a member set, called on a 6-player game.

@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from groupshapley.estimator import (
     EstimatorConfig,
+    _size_plan,
     estimate_group_value,
     estimate_group_value_augmented,
     estimate_mean_utility,
@@ -19,6 +23,7 @@ from groupshapley.exact import (
 )
 from groupshapley.games import (
     IntersectionSizeGame,
+    RegressionGame,
     SIZE_UTILITIES,
     SizeOnlyGame,
     sou_generate,
@@ -183,13 +188,19 @@ class TestEstimateGroupValue:
         assert [c[:2] for c in a.curve.checkpoints] == \
             [c[:2] for c in b.curve.checkpoints]
 
-    def test_infeasible_large_sizes_contribute_zero(self):
-        # at s = n-1 no paired tuple exists (the non-member pool is empty
-        # whenever the subset eats the whole complement)
+    def test_largest_size_is_estimated(self):
+        # At s = n-1 the paired step's R is every player but z1 and z2, so the
+        # row takes one of s0 * (n - s0) values; its mean is the exact term.
         g = sou_generate(6, 10, 2)
-        cfg = EstimatorConfig(size_threshold=1, grid_samples=1, pair_samples=9)
-        est = estimate_group_value(g, [0, 1], cfg, rng=np.random.default_rng(0))
-        assert est.per_size_terms[4] == 0.0
+        members, m = [0, 1], 4000
+        cfg = EstimatorConfig(size_threshold=1, grid_samples=1, pair_samples=m)
+        est = estimate_group_value(g, members, cfg, rng=np.random.default_rng(0))
+        weight = (6 / 5) * (2 / 6) * (4 / 6)
+        diffs = [g.evaluate(set(range(6)) - {z2}) - g.evaluate(set(range(6)) - {z1})
+                 for z1 in members for z2 in range(2, 6)]
+        assert est.per_size_terms[4] != 0.0
+        assert est.per_size_terms[4] == pytest.approx(
+            exact_size_term(g, members, 5), abs=4 * weight * np.std(diffs) / math.sqrt(m))
 
     def test_curve_records_running_sum(self):
         g = sou_generate(8, 16, 10)
@@ -232,9 +243,8 @@ class TestEstimateGroupValue:
         assert est.std_error == 0.0
 
     def test_convergence_in_samples(self):
-        # The estimator has a bias of ~+0.167 on this game (the single-term
-        # approximation), so the error does not go to zero; the spread across
-        # seeds does, as 1/sqrt(m), and the mean absolute error must not rise.
+        # The estimator is unbiased, so the error falls with the spread
+        # across seeds, as 1/sqrt(m); the mean absolute error must not rise.
         g = sou_generate(10, 30, 14)
         members = [0, 2, 4, 6]
         truth = exact_faithful_group_shapley(g, members)
@@ -272,6 +282,19 @@ class TestChooseParameters:
         assert predicted_evaluations(50, 10, capped) <= 20000
         assert capped.grid_samples <= free.grid_samples
         assert capped.pair_samples <= free.pair_samples
+
+    def test_budget_cap_never_overspent(self):
+        # Proportional deflation alone leaves the floors of one sample and the
+        # paired rows' cost over the cap (52 grid samples, 660 evaluations).
+        capped = choose_parameters(100, 10, epsilon=0.3, delta=0.1, upsilon=1.0,
+                                   budget_cap=500)
+        assert predicted_evaluations(100, 10, capped) <= 500
+        assert capped.grid_samples >= 1 and capped.pair_samples >= 1
+        least = predicted_evaluations(
+            100, 10, EstimatorConfig(size_threshold=capped.size_threshold,
+                                     grid_samples=1, pair_samples=1))
+        with pytest.raises(ValueError, match=f"below the minimum {least} "):
+            choose_parameters(100, 10, epsilon=0.3, delta=0.1, upsilon=1.0, budget_cap=50)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -345,3 +368,80 @@ class TestAugmentedEstimator:
         gap = abs(results[0].value - results[1].value)
         band = 4 * math.hypot(results[0].std_error, results[1].std_error)
         assert gap <= max(band, 1e-3)
+
+
+def _pair_weight(n, s0):
+    ((_, [(s1, weight)]),) = [row for row in _size_plan(n, s0, n - 1) if row[0] == n - 1]
+    assert s1 is None
+    return weight
+
+
+class TestExactPairedStep:
+    """Each paired row is the exact size term: the plan's weight times the
+    mean of U(R ∪ {z1}) - U(R ∪ {z2}) over z1 a member, z2 a non-member and R,
+    |R| = s - 1, a subset of the other n - 2 players."""
+
+    @pytest.mark.parametrize("n, seed, members", [
+        (3, 1, [2]), (6, 1, [0, 1]), (7, 3, [0, 2, 5]), (8, 11, [1, 2, 3, 6]),
+        (8, 4, [0, 1, 2, 3, 4, 5, 7]),
+    ])
+    def test_enumeration_identity(self, n, seed, members):
+        g = sou_generate(n, 3 * n, seed)
+        weight = _pair_weight(n, len(members))
+        for s in range(1, n):
+            diffs = []
+            for z1, z2 in itertools.product(members, sorted(set(range(n)) - set(members))):
+                rest = sorted(set(range(n)) - {z1, z2})
+                for r in itertools.combinations(rest, s - 1):
+                    diffs.append(g.evaluate([*r, z1]) - g.evaluate([*r, z2]))
+            assert weight * np.mean(diffs) == pytest.approx(
+                exact_size_term(g, members, s), abs=1e-12)
+
+    def test_coverage_against_closed_form_truth(self):
+        # SOU games have closed-form Shapley values. Over 200 seeds per game
+        # the 95% interval must cover the truth at a rate inside the 95%
+        # binomial band, and the mean error must sit within 3 standard errors
+        # of zero.
+        seeds = 200
+        low, high = scipy.stats.binom.interval(0.95, seeds, 0.95)
+        for n, d, seed, members, threshold, m in (
+            (10, 30, 14, [0, 2, 4, 6], 4, 512),
+            (12, 36, 5, [1, 6, 10], 3, 256),
+            (16, 48, 7, list(range(0, 16, 2)), 5, 256),
+        ):
+            g = sou_generate(n, d, seed)
+            truth = float(g.exact_shapley_vector()[members].sum())
+            cfg = EstimatorConfig(size_threshold=threshold, grid_samples=m, pair_samples=m)
+            runs = [estimate_group_value(g, members, cfg, rng=np.random.default_rng(r))
+                    for r in range(seeds)]
+            errors = np.array([r.value - truth for r in runs])
+            covered = np.count_nonzero(np.abs(errors) <= 1.96 * np.array(
+                [r.std_error for r in runs]))
+            assert low <= covered <= high, (n, covered)
+            assert abs(errors.mean()) <= 3 * errors.std(ddof=1) / math.sqrt(seeds), n
+
+
+def _regression_game(n, seed):
+    rng = np.random.default_rng(seed)
+    X, Xt = rng.normal(size=(n, 2)), rng.normal(size=(5, 2))
+    beta = np.array([1.0, -0.5])
+    return RegressionGame(X, X @ beta + 0.3 * rng.normal(size=n),
+                          Xt, Xt @ beta + 0.3 * rng.normal(size=5), lam=0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["sou", "size_only", "regression"]), n=st.integers(2, 7),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_exhaustive_estimate_equals_exact(kind, n, seed, data):
+    # With every size on the grid and every family enumerated, the estimator
+    # is the exact faithful group value.
+    g = {"sou": lambda: sou_generate(n, 2 * n, seed),
+         "size_only": lambda: SizeOnlyGame(n, SIZE_UTILITIES["cubic"]),
+         "regression": lambda: _regression_game(n, seed)}[kind]()
+    members = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    cfg = EstimatorConfig(size_threshold=n, grid_samples=10**9, pair_samples=1,
+                          exhaustive_small_sizes=True)
+    est = estimate_group_value(g, members, cfg, rng=np.random.default_rng(seed))
+    assert est.std_error == 0.0
+    assert est.value == pytest.approx(exact_faithful_group_shapley(g, members),
+                                      abs=1e-12)

@@ -392,7 +392,7 @@ class TestSharedGame:
         assert not runner.is_alive() and not helper.is_alive()
 
         (shared,) = results
-        assert len(other) == 2 + 9 + 2 * 7  # endpoints, grid cells, paired sizes
+        assert len(other) == 2 + 9 + 2 * 8  # endpoints, grid cells, paired sizes
         assert shared.value == alone.value
         assert np.array_equal(shared.per_size_terms, alone.per_size_terms)
         assert shared.std_error == alone.std_error
@@ -730,6 +730,27 @@ class TestSerialization:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             game_from_config({"type": "banzhaf"})
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "sou", "n": 8.9, "d": 4, "seed": 1},
+        {"type": "sou", "n": 8, "d": 4.7, "seed": 1},
+        {"type": "sou", "n": 8, "d": 4, "seed": 1.5},
+        {"type": "sou", "n": True, "d": 4, "seed": 1},
+        {"type": "size_only", "n": "12", "name": "cubic"},
+        {"type": "sou_explicit", "n": 4.0, "subsets": [[0]], "coefficients": [1.0]},
+        {"type": "regression_csv", "path": "unread.csv", "test_fraction": 0.5,
+         "lambda": 1.0, "seed": "0"},
+    ], ids=["n_float", "d_float", "seed_float", "n_bool", "n_string", "explicit_n_float",
+            "regression_seed_string"])
+    def test_non_integer_fields_raise(self, spec):
+        with pytest.raises(ValueError, match="must be an integer"):
+            game_from_config(spec)
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = game_from_config({"type": "sou", "n": np.int64(8), "d": np.uint16(10),
+                              "seed": 55})
+        _same_game(g, sou_generate(8, 10, 55))
+        assert type(g.n) is int
 
 
 class TestIntersectionSizeGame:
