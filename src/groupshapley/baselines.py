@@ -35,15 +35,6 @@ class SvEstimate:
     evaluations_used: int
     curves: dict[int, ConvergenceCurve] | None = None
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "values": self.values.tolist(),
-            "evaluations_used": self.evaluations_used,
-        }
-        if self.curves is not None:
-            out["curves"] = {str(k): c.to_jsonable() for k, c in self.curves.items()}
-        return out
-
 
 def group_sum(estimate: SvEstimate, members) -> float:
     """Group value as the sum of its members' estimated values."""

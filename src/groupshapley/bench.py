@@ -62,6 +62,22 @@ def _require_int(value, where: str, minimum: int) -> int:
     return value
 
 
+def _require_number(value, where: str) -> None:
+    """Raises :class:`ConfigError` unless ``value`` is a JSON number (not a
+    bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def _require_index_lists(value, where: str, item: str) -> None:
+    """Raises :class:`ConfigError` unless ``value`` is a list of lists of
+    integers >= 0."""
+    if not isinstance(value, list) or not all(isinstance(a, list) for a in value):
+        raise ConfigError(f"{where} must be a list of index lists")
+    for i in (i for a in value for i in a):
+        _require_int(i, f"{item} index", 0)
+
+
 def _check_schema_version(cfg: dict, where: str) -> None:
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
@@ -84,18 +100,21 @@ def validate_game_spec(spec: dict, where: str = "game") -> None:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{where}: expected an object with a 'type' field")
     kind = spec["type"]
-    if kind not in GAME_KEYS:
+    if not isinstance(kind, str) or kind not in GAME_KEYS:
         raise ConfigError(f"{where}: unknown game type {kind!r}")
     _require_keys(spec, GAME_KEYS[kind], GAME_KEYS[kind], where)
     for key, minimum in (("n", 1), ("d", 1), ("seed", 0)):
         if key in spec:
             _require_int(spec[key], f"{where}: {key}", minimum)
     if kind == "sou_explicit":
-        subsets = spec["subsets"]
-        if not isinstance(subsets, list) or not all(isinstance(a, list) for a in subsets):
-            raise ConfigError(f"{where}: subsets must be a list of index lists")
-        for i in (i for a in subsets for i in a):
-            _require_int(i, f"{where}: subset index", 0)
+        _require_index_lists(spec["subsets"], f"{where}: subsets", f"{where}: subset")
+        if not isinstance(spec["coefficients"], list):
+            raise ConfigError(f"{where}: coefficients must be a list of numbers")
+        for c in spec["coefficients"]:
+            _require_number(c, f"{where}: coefficient")
+    elif kind == "regression_csv":
+        for key in ("test_fraction", "lambda"):
+            _require_number(spec[key], f"{where}: {key}")
 
 
 def build_game(spec: dict) -> Game:
@@ -121,6 +140,7 @@ def partition_from_spec(spec: dict, n: int, where: str = "groups") -> Partition:
             raise ConfigError(f"{where}: k must be in 1..{n}")
         return mod_partition(n, k)
     _require_keys(spec, {"explicit"}, {"explicit"}, where)
+    _require_index_lists(spec["explicit"], f"{where}: explicit", f"{where}: group")
     try:
         return Partition(spec["explicit"], n=n)
     except ValueError as exc:
@@ -171,7 +191,7 @@ class BenchConfig:
         for m in methods:
             if not isinstance(m, dict) or "name" not in m:
                 raise ConfigError("methods: each entry needs a 'name'")
-            if m["name"] not in KNOWN_METHODS:
+            if not isinstance(m["name"], str) or m["name"] not in KNOWN_METHODS:
                 raise ConfigError(f"methods: unknown method {m['name']!r}")
             allowed_keys = METHOD_KEYS.get(m["name"], {"name"})
             _require_keys(m, allowed_keys, {"name"}, f"methods[{m['name']}]")

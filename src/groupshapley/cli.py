@@ -79,7 +79,7 @@ def _attack_partition(cfg: dict):
         raise ConfigError("attack config needs exactly one of 'ubar' or 'game'")
     if "ubar" in cfg:
         name = cfg["ubar"]
-        if name not in SIZE_UTILITIES:
+        if not isinstance(name, str) or name not in SIZE_UTILITIES:
             raise ConfigError(f"unknown size-utility name {name!r}")
         sizes = cfg.get("group_sizes")
         if not isinstance(sizes, list) or not sizes:

@@ -104,10 +104,9 @@ def _member_indices(members, n: int) -> np.ndarray:
 # Rounds of redraws for rows whose keys tie at the threshold. The first
 # round draws 16-bit keys for pools of at most ``_KEY16_MAX_WIDTH``; two
 # neighbouring keys of a row of width w tie with probability ~w * 2^-17
-# (0.8% of rows at w = 1024, twice that where a next key is wanted too).
-# Every redraw, and every wider pool, draws 32-bit keys, which tie with
-# probability ~w * 2^-33. So a tie that survives four redraws means a
-# broken generator.
+# (0.8% of rows at w = 1024). Every redraw, and every wider pool, draws
+# 32-bit keys, which tie with probability ~w * 2^-33. So a tie that survives
+# four redraws means a broken generator.
 _TIE_REDRAWS = 4
 _KEY16_MAX_WIDTH = 4096
 
@@ -129,41 +128,20 @@ def _draw_keys(rng: np.random.Generator, count: int, width: int, dtype) -> np.nd
     return raw.view(dtype)[:size].reshape(count, width)
 
 
-def _threshold(keys: np.ndarray, k, one_k: bool, with_next: bool):
-    """Masks of the keys below each row's (k+1)-th smallest and, with
-    ``with_next``, of the keys equal to it (else None); a row with k = width
-    selects all and has no next key."""
-    count, width = keys.shape
-    if one_k:
-        kth = np.partition(keys, k, axis=1)[:, k, None]
-        return keys < kth, (keys == kth) if with_next else None
-    full = k == width
-    kth = np.take_along_axis(np.sort(keys, axis=1), np.minimum(k, width - 1)[:, None], axis=1)
-    mask, nxt = keys < kth, (keys == kth) if with_next else None
-    mask[full] = True
-    if with_next:
-        nxt[full] = False
-    return mask, nxt
-
-
 def _select_smallest(rng: np.random.Generator, count: int, width: int, k,
-                     pushed=(), with_next: bool = False):
+                     pushed=()) -> np.ndarray:
     """Rank selection on random keys, with ``k`` one int or one int per row in
-    [0, width]. Returns the mask of each row's k smallest keys and, with
-    ``with_next``, the pair (that mask, the mask of its (k+1)-th smallest),
-    the latter empty where k = width. The threshold comes from
-    ``np.partition`` for one k, else from a row sort. ``pushed`` holds
-    per-row column indices (arrays of length ``count``) whose keys are set
-    past every other key, so the row selects among its other columns.
+    [0, width]. Returns the mask of each row's k smallest keys. The threshold
+    comes from ``np.partition`` for one k, else from a row sort. ``pushed``
+    holds per-row column indices (arrays of length ``count``) whose keys are
+    set past every other key, so the row selects among its other columns.
 
-    A row is drawn again when its k-th key ties with its (k+1)-th, or, with
-    ``with_next``, its (k+1)-th with its (k+2)-th. Rejecting a tie is
-    symmetric under permutations of the columns that are not pushed, so the
-    subset (and the next key) stay uniform. A batch draws no keys when every
-    row keeps none or all of the pool and wants no next key. The first round
-    draws 16-bit keys for pools of at most ``_KEY16_MAX_WIDTH``; redraws draw
-    32-bit keys. After ``_TIE_REDRAWS`` rounds that still tie,
-    FloatingPointError."""
+    A row is drawn again when its k-th key ties with its (k+1)-th. Rejecting
+    a tie is symmetric under permutations of the columns that are not
+    pushed, so the subset stays uniform. A batch draws no keys when every row
+    keeps none or all of the pool. The first round draws 16-bit keys for
+    pools of at most ``_KEY16_MAX_WIDTH``; redraws draw 32-bit keys. After
+    ``_TIE_REDRAWS`` rounds that still tie, FloatingPointError."""
     # One k is checked in Python: at small widths the array check was a
     # quarter of the call.
     one_k = isinstance(k, (int, np.integer)) or np.ndim(k) == 0
@@ -171,48 +149,45 @@ def _select_smallest(rng: np.random.Generator, count: int, width: int, k,
         k = int(k)
         if not 0 <= k <= width:
             raise ValueError(f"subset size out of range [0, {width}]: {k}")
-        forced = k == width or (k == 0 and not with_next)
+        forced = k in (0, width)
     else:
         k = np.asarray(k, dtype=np.intp)
         if ((k < 0) | (k > width)).any():
             raise ValueError(f"subset size out of range [0, {width}]: {k}")
-        forced = ((k == width) | ((k == 0) & (not with_next))).all()
+        forced = ((k == 0) | (k == width)).all()
     if forced or not count:
-        mask = np.broadcast_to(np.reshape(k == width, (-1, 1)), (count, width)).copy()
-        return (mask, np.zeros_like(mask)) if with_next else mask
-    # With a next key, a row with k < width has at least one key equal to its
-    # threshold, and exactly one iff nothing ties there; then it also has
-    # exactly k keys below. Without, a row has at most k keys below its
-    # threshold, and exactly k iff its k-th and (k+1)-th keys differ. So one
-    # total count of one mask clears the whole batch.
-    want = (k < width) if with_next else k
-    expected = count * want if one_k else int(want.sum())
+        return np.broadcast_to(np.reshape(k == width, (-1, 1)), (count, width)).copy()
 
     def draw(rows, dtype):
         keys = _draw_keys(rng, len(rows), width, dtype)
         at, top = np.arange(len(rows)), (1 << 8 * keys.itemsize) - 1
         for cols in pushed:
             keys[at, cols[rows]] = top
-        return _threshold(keys, k if one_k else k[rows], one_k, with_next)
+        if one_k:
+            return keys < np.partition(keys, k, axis=1)[:, k, None]
+        kr = k[rows]
+        kth = np.take_along_axis(np.sort(keys, axis=1), np.minimum(kr, width - 1)[:, None],
+                                 axis=1)
+        mask = keys < kth
+        mask[kr == width] = True
+        return mask
 
-    mask, nxt = draw(np.arange(count), np.uint16 if width <= _KEY16_MAX_WIDTH else np.uint32)
-    check = nxt if with_next else mask
-    if np.count_nonzero(check) != expected:
+    # A row has at most k keys below its threshold, and exactly k iff its
+    # k-th and (k+1)-th keys differ. So one total count clears the batch.
+    mask = draw(np.arange(count), np.uint16 if width <= _KEY16_MAX_WIDTH else np.uint32)
+    if np.count_nonzero(mask) != (count * k if one_k else int(k.sum())):
         # Per-row sums in int32 take a third of the time of per-row
         # count_nonzero.
-        tied = np.flatnonzero(check.sum(axis=1, dtype=np.int32) != want)
+        tied = np.flatnonzero(mask.sum(axis=1, dtype=np.int32) != k)
         for _ in range(_TIE_REDRAWS):
-            mask[tied], part = draw(tied, np.uint32)
-            if with_next:
-                nxt[tied] = part
-            tied = tied[check[tied].sum(axis=1, dtype=np.int32)
-                        != (want if one_k else want[tied])]
+            mask[tied] = draw(tied, np.uint32)
+            tied = tied[mask[tied].sum(axis=1, dtype=np.int32) != (k if one_k else k[tied])]
             if not tied.size:
                 break
         else:
             raise FloatingPointError("random keys still tied at the selection threshold "
                                      f"after {_TIE_REDRAWS} redraws")
-    return (mask, nxt) if with_next else mask
+    return mask
 
 
 def _split_indices(members: np.ndarray, n: int) -> np.ndarray:
@@ -263,15 +238,18 @@ def sample_paired_tuples(
     """Draws (S, z1, z2) tuples with |S| = s, z1 a member and z2 a non-member,
     neither in S. Returns (masks, z1s, z2s).
 
-    With ``s1=None``: z1 uniform over the members, z2 uniform over the
-    non-members, and S uniform over the s-subsets of the other n - 2 indices,
-    so its overlap with the members is drawn. This is the exact paired step of
-    the size decomposition. The keys of z1 and z2 are pushed past every other
-    key, so one selection over all n indices draws S.
+    z1 is uniform over the members and z2 uniform over the non-members, both
+    from one draw over the s0 * (n - s0) pairs. Then S is drawn by rank
+    selection with the keys of z1 and z2 pushed past every other key:
 
-    With an integer ``s1``: S as in :func:`sample_subsets_with_intersection`,
-    z1 uniform over members∖S and z2 uniform over the non-members outside S.
-    Requires both residual pools to be non-empty.
+    - With ``s1=None``, S is uniform over the s-subsets of the other n - 2
+      indices, so its overlap with the members is drawn. This is the exact
+      paired step of the size decomposition: one selection over all n keys.
+    - With an integer ``s1``, S takes s1 of the other members and s - s1 of
+      the other non-members, one selection per pool. S is then uniform over
+      {S : |S|=s, |S∩members|=s1}, and z1 and z2 uniform over the members and
+      non-members outside it, since s0·C(s0-1, s1) = C(s0, s1)·(s0 - s1).
+      Requires both residual pools to be non-empty.
     """
     members = _member_indices(members, n)
     s0 = len(members)
@@ -282,32 +260,29 @@ def sample_paired_tuples(
                              f"|members|={s0}, n={n}")
         if not 0 <= s <= n - 2:
             raise ValueError(f"subset size out of range [0, {n - 2}]: {s}")
-        # One uniform draw over the s0 * (n - s0) pairs: z1 and z2 are
-        # independent and uniform over their pools.
-        pair = rng.integers(0, s0 * (n - s0), size=count)
-        z1, z2 = members[pair // (n - s0)], comp[pair % (n - s0)]
-        if s < n - 2:
-            return _select_smallest(rng, count, n, s, pushed=(z1, z2)), z1, z2
-        # S is everything but z1 and z2.
-        masks = np.ones((count, n), dtype=bool)
-        rows = np.arange(count)
-        masks[rows, z1] = masks[rows, z2] = False
-        return masks, z1, z2
-    _check_feasible(n, s0, s, s1)
-    if s0 - s1 < 1:
-        raise ValueError(
-            f"no member left outside S: |members|={s0}, overlap s1={s1}"
-        )
-    if (n - s0) - (s - s1) < 1:
-        raise ValueError(
-            f"no non-member left outside S: n-|members|={n - s0}, s-s1={s - s1}"
-        )
-    # The (k+1)-th smallest key of each pool is a uniform draw from the rest.
-    part_in, nxt = _select_smallest(rng, count, s0, s1, with_next=True)
-    z1 = members[nxt.argmax(axis=1)]
-    part_out, nxt = _select_smallest(rng, count, len(comp), s - s1, with_next=True)
-    z2 = comp[nxt.argmax(axis=1)]
-    return _assemble(members, comp, part_in, part_out), z1, z2
+    else:
+        _check_feasible(n, s0, s, s1)
+        if s0 - s1 < 1:
+            raise ValueError(
+                f"no member left outside S: |members|={s0}, overlap s1={s1}"
+            )
+        if (n - s0) - (s - s1) < 1:
+            raise ValueError(
+                f"no non-member left outside S: n-|members|={n - s0}, s-s1={s - s1}"
+            )
+    # z1 and z2 are independent and uniform over their pools.
+    i1, i2 = np.divmod(rng.integers(0, s0 * (n - s0), size=count), n - s0)
+    z1, z2 = members[i1], comp[i2]
+    if s1 is not None:
+        return _assemble(members, comp, _select_smallest(rng, count, s0, s1, pushed=(i1,)),
+                         _select_smallest(rng, count, n - s0, s - s1, pushed=(i2,))), z1, z2
+    if s < n - 2:
+        return _select_smallest(rng, count, n, s, pushed=(z1, z2)), z1, z2
+    # S is everything but z1 and z2.
+    masks = np.ones((count, n), dtype=bool)
+    rows = np.arange(count)
+    masks[rows, z1] = masks[rows, z2] = False
+    return masks, z1, z2
 
 
 def sample_uniform_subsets(

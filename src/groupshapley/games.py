@@ -217,7 +217,7 @@ class SOUGame(Game):
         step = self._block_rows
         order = None
         if rows > step:
-            counts = masks.sum(axis=1)
+            counts = masks.sum(axis=1, dtype=np.int32)
             order = np.argsort(counts, kind="stable")
             words, counts = words[:, order], counts[order]
         holes = ~words
@@ -271,7 +271,7 @@ class SizeOnlyGame(Game):
         self.size_utility = size_utility
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        sizes, inverse = np.unique(masks.sum(axis=1), return_inverse=True)
+        sizes, inverse = np.unique(masks.sum(axis=1, dtype=np.int32), return_inverse=True)
         return np.array([self.size_utility(int(s)) for s in sizes], dtype=float)[inverse]
 
     # Null items only inflate the coalition size here.
@@ -294,8 +294,8 @@ class IntersectionSizeGame(Game):
         self._member_mask[self.members] = True
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        sizes = masks.sum(axis=1)
-        overlaps = masks[:, self._member_mask].sum(axis=1)
+        sizes = masks.sum(axis=1, dtype=np.int32)
+        overlaps = masks[:, self._member_mask].sum(axis=1, dtype=np.int32)
         keys, inverse = np.unique(
             np.stack([overlaps, sizes], axis=1), axis=0, return_inverse=True
         )
@@ -370,7 +370,7 @@ class RegressionGame(Game):
         out = np.full(len(masks), self.null_utility)
         for lo in range(0, len(masks), self._block_rows):
             block = masks[lo : lo + self._block_rows]
-            rows = lo + np.flatnonzero(block.sum(axis=1) >= max(p, 1))
+            rows = lo + np.flatnonzero(block.sum(axis=1, dtype=np.int32) >= max(p, 1))
             sel = masks[rows].astype(np.float64)
             grams = (sel @ self._outer).reshape(-1, p, p) + self._ridge
             try:
@@ -438,7 +438,7 @@ class NullAugmentedGame(Game):
         # Rows at or above the threshold go to the base kernel as one batch.
         # The rest are padded one at a time in row order, so the null draws
         # come from the RNG in the same order as a row-by-row loop.
-        sizes = masks.sum(axis=1)
+        sizes = masks.sum(axis=1, dtype=np.int32)
         passes = sizes >= self.threshold
         out = np.empty(len(masks))
         out[passes] = self.base._values(masks[passes])
@@ -527,7 +527,7 @@ def game_from_config(cfg: dict) -> Game:
         return SOUGame(int(_integer_field(cfg, "n")), cfg["subsets"], cfg["coefficients"])
     if kind == "size_only":
         name = cfg["name"]
-        if name not in SIZE_UTILITIES:
+        if not isinstance(name, str) or name not in SIZE_UTILITIES:
             raise ValueError(f"unknown size-utility name {name!r}")
         return SizeOnlyGame(int(_integer_field(cfg, "n")), SIZE_UTILITIES[name])
     if kind == "regression_csv":

@@ -34,9 +34,6 @@ class ConvergenceCurve:
     def final_estimate(self) -> float:
         return self.checkpoints[-1][1]
 
-    def to_jsonable(self) -> list[list]:
-        return [list(c) for c in self.checkpoints]
-
 
 class Recorder:
     """Appends a checkpoint to a curve every ``interval`` evaluations.

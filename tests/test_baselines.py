@@ -401,11 +401,3 @@ class TestDeterminismAndCurves:
             assert curve.final_estimate() == pytest.approx(
                 group_sum(est, groups[2]), abs=1e-9
             )
-
-    def test_jsonable(self):
-        g = sou_generate(6, 8, 1)
-        est = permutation_estimator(g, 70, np.random.default_rng(0),
-                                    groups=[(0, 1)], checkpoint_interval=10)
-        blob = est.to_jsonable()
-        assert len(blob["values"]) == 6
-        assert "0" in blob["curves"]

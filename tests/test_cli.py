@@ -425,8 +425,9 @@ class TestConfigMistakes:
     read as nonsense, are config errors (exit 2): a tolerance that is not a
     finite non-negative JSON number, a game too large for exact enumeration,
     more groups than an exact group-as-player value can enumerate, a game
-    field that is not an integer, and an fgsv budget below what its plan
-    spends."""
+    field that is not an integer, explicit groups that are not lists of
+    indices, a game field that is not a number or a list of numbers, a name
+    that is not a string, and an fgsv budget below what its plan spends."""
 
     @staticmethod
     def sou(n):
@@ -470,6 +471,21 @@ class TestConfigMistakes:
         ("bench", "regression_seed_float", "game: seed must be an integer >= 0, got 0.5"),
         ("bench", "subsets_int", "game: subsets must be a list of index lists"),
         ("bench", "subset_index_float", "game: subset index must be an integer >= 0, got 1.5"),
+        ("bench", "explicit_int", "groups: explicit must be a list of index lists"),
+        ("bench", "explicit_flat", "groups: explicit must be a list of index lists"),
+        ("exact", "explicit_string", "groups: group index must be an integer >= 0, got 'a'"),
+        ("axioms", "explicit_float",
+         "partitions[0]: group index must be an integer >= 0, got 0.0"),
+        ("attack", "explicit_float_attack",
+         "groups: group index must be an integer >= 0, got 0.0"),
+        ("bench", "coefficients_int", "game: coefficients must be a list of numbers"),
+        ("bench", "coefficient_string", "game: coefficient must be a number, got '1'"),
+        ("bench", "test_fraction_list", "game: test_fraction must be a number, got [0.5]"),
+        ("bench", "lambda_null", "game: lambda must be a number, got None"),
+        ("bench", "game_type_list", "game: unknown game type ['sou']"),
+        ("bench", "size_only_name_list", "game: unknown size-utility name ['x']"),
+        ("bench", "method_name_list", "methods: unknown method ['fgsv']"),
+        ("attack", "ubar_list", "unknown size-utility name ['saturating2']"),
         ("bench", "fgsv_budget_12", "budget 12 below minimum 212 for fgsv"),
         ("bench", "fgsv_explicit_samples", "budget 400 below minimum 1028 for fgsv"),
     ]
@@ -503,6 +519,30 @@ class TestConfigMistakes:
                  "lambda": 1.0, "seed": 0.5}),
             "subsets_int": self.bench(self.explicit(5)),
             "subset_index_float": self.bench(self.explicit([[0, 1.5], [2]])),
+            "explicit_int": self.bench(groups={"explicit": 5}),
+            "explicit_flat": self.bench(groups={"explicit": [0, 1]}),
+            "explicit_string": {"schema_version": 1, "game": self.sou(4),
+                                "groups": {"explicit": [[0, "a"], [1, 2, 3]]}},
+            "explicit_float": self.axioms(
+                n=4, partitions=[{"explicit": [[0.0, 1, 2], [3]]}]),
+            "explicit_float_attack": {"schema_version": 1, "game": self.sou(4),
+                                      "groups": {"explicit": [[0.0, 1, 2], [3]]},
+                                      "target_group": 0, "pieces": [2]},
+            "coefficients_int": self.bench({**self.explicit([[0, 1], [2]]),
+                                            "coefficients": 5}),
+            "coefficient_string": self.bench({**self.explicit([[0, 1], [2]]),
+                                              "coefficients": [1.0, "1"]}),
+            "test_fraction_list": self.bench(
+                {"type": "regression_csv", "path": "data.csv", "test_fraction": [0.5],
+                 "lambda": 1.0, "seed": 0}),
+            "lambda_null": self.bench(
+                {"type": "regression_csv", "path": "data.csv", "test_fraction": 0.5,
+                 "lambda": None, "seed": 0}),
+            "game_type_list": self.bench({"type": ["sou"], "n": 8, "d": 24, "seed": 1}),
+            "size_only_name_list": self.bench({"type": "size_only", "n": 8, "name": ["x"]}),
+            "method_name_list": self.bench(methods=[{"name": ["fgsv"]}]),
+            "ubar_list": {"schema_version": 1, "ubar": ["saturating2"],
+                          "group_sizes": [2, 2], "target_group": 0, "pieces": [2]},
             "fgsv_budget_12": self.bench(**self.FGSV_ONLY, budget=12),
             "fgsv_explicit_samples": self.bench(
                 **{**self.FGSV_ONLY, "methods": [{"name": "fgsv", "grid_samples": 5,

@@ -34,9 +34,8 @@ from groupshapley.exact import (
 from groupshapley.games import IntersectionSizeGame, sou_generate
 
 
-# The four rank-selection samplers that one primitive replaced, kept verbatim
-# as references except for their keys: they draw the same keys as the
-# primitive, and the same keys must select the same subsets.
+# Reference samplers written without the selection primitive: they draw the
+# same keys as the primitive, and the same keys must select the same subsets.
 
 def _reference_words(rng, count, width, bits):
     size = count * width
@@ -46,13 +45,13 @@ def _reference_words(rng, count, width, bits):
         count, width).astype(np.int64)
 
 
-def _reference_keys(rng, count, width, k, with_next=False, pushed=()):
+def _reference_keys(rng, count, width, k, pushed=()):
     """The keys the primitive selects from: 16-bit keys for widths up to
     4096, with ``pushed`` columns set to the largest key; then each row whose
     sorted keys tie at its threshold is drawn again from 32-bit keys, until
     none ties. None where no row needs keys."""
     k = np.broadcast_to(np.asarray(k), (count,))
-    needs = (k < width) & ((k > 0) | with_next)
+    needs = (k > 0) & (k < width)
     if not needs.any():
         return None if count else np.zeros((0, width), dtype=np.int64)
     rows = np.arange(count)
@@ -63,14 +62,8 @@ def _reference_keys(rng, count, width, k, with_next=False, pushed=()):
         for cols in pushed:
             keys[rows, cols[rows]] = (1 << bits) - 1
         ordered = np.sort(keys[rows], axis=1)
-        tied = []
-        for i, r in enumerate(rows):
-            kr, row = k[r], ordered[i]
-            if kr == width:
-                continue
-            if (kr > 0 and row[kr - 1] == row[kr]) or (
-                    with_next and kr + 1 < width and row[kr] == row[kr + 1]):
-                tied.append(r)
+        tied = [r for i, r in enumerate(rows)
+                if 0 < k[r] < width and ordered[i, k[r] - 1] == ordered[i, k[r]]]
         rows, bits = np.array(tied, dtype=np.intp), 32
     return keys
 
@@ -111,21 +104,15 @@ def _reference_paired_tuples(rng, n, members, s, s1, count):
     masks = np.zeros((count, n), dtype=bool)
     rows = np.arange(count)[:, None]
 
-    # Rank selection: the s1 smallest keys form S's member part and the
-    # (s1+1)-th smallest is a uniform draw from the remainder.
-    keys = _reference_keys(rng, count, s0, s1, with_next=True)
-    order = np.argpartition(keys, s1, axis=1)
-    if s1 > 0:
-        masks[rows, members[order[:, :s1]]] = True
-    z1 = members[order[:, s1]]
-
-    s2 = s - s1
-    keys = _reference_keys(rng, count, len(comp), s2, with_next=True)
-    order = np.argpartition(keys, s2, axis=1)
-    if s2 > 0:
-        masks[rows, comp[order[:, :s2]]] = True
-    z2 = comp[order[:, s2]]
-    return masks, z1, z2
+    # z1 and z2 first, from one draw over the pairs; then each pool's part of
+    # S is its smallest keys, with that pool's z pushed past the rest.
+    pair = rng.integers(0, s0 * len(comp), size=count)
+    i1, i2 = pair // len(comp), pair % len(comp)
+    for pool, k, i in ((members, s1, i1), (comp, s - s1, i2)):
+        if k > 0:
+            keys = _reference_keys(rng, count, len(pool), k, pushed=(i,))
+            masks[rows, pool[np.argpartition(keys, k - 1, axis=1)[:, :k]]] = True
+    return masks, members[i1], comp[i2]
 
 
 def _reference_exact_tuples(rng, n, members, s, count):
@@ -459,11 +446,9 @@ def _same_state(a, b):
 
 class TestSelectionReference:
     """The samplers select the same subsets from the same keys as the
-    rank-selection code they replaced, and leave the generator in the same
-    state. Keys are drawn for every pool that keeps some but not all of its
-    indices, or that also draws a next index (so ``sample_uniform_subsets``
-    draws neither at s = 0 nor at s = n), and for a per-row draw unless every
-    row keeps none or all of its pool."""
+    reference samplers above, and leave the generator in the same state. Keys are drawn for every pool that keeps some but not all of its
+    indices (so ``sample_uniform_subsets`` draws none at s = 0 or s = n), and
+    for a per-row draw unless every row keeps none or all of its pool."""
 
     @pytest.mark.parametrize("n", range(11))
     def test_fixed_sizes(self, n):
@@ -575,11 +560,6 @@ class TestTiedKeys:
 
     @pytest.mark.parametrize("k", [0, 2, 5, [3, 0, 6, 5, 2, 1, 4, 3]])
     def test_redraws_only_tied_rows(self, k):
-        for with_next in (False, True):
-            self._check_redraws(k, with_next)
-
-    @staticmethod
-    def _check_redraws(k, with_next):
         count, width, tied = 8, 6, [1, 2, 6]
         real = np.random.default_rng(5)
         draws = []
@@ -593,10 +573,9 @@ class TestTiedKeys:
             return w
 
         rng = _RawWords(words)
-        got = _select_smallest(rng, count, width, k, with_next=with_next)
-        mask, nxt = got if with_next else (got, None)
+        mask = _select_smallest(rng, count, width, k)
         sizes = np.broadcast_to(k, count)
-        drawn = (sizes < width) & ((sizes > 0) | with_next)
+        drawn = (sizes > 0) & (sizes < width)
         redrawn = [r for r in tied if drawn[r]]
         # 16-bit keys in the first round, four per word; 32-bit keys after.
         assert rng.sizes == ([count * width // 4, len(redrawn) * width // 2]
@@ -609,66 +588,64 @@ class TestTiedKeys:
         keys[redrawn] = _keys_of(draws[1], len(redrawn), width, np.uint32)
         ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
         assert np.array_equal(mask, ranks < sizes[:, None])
-        if with_next:
-            assert (nxt.sum(axis=1) == (sizes < width)).all()
-            assert not (mask & nxt).any()
-            assert np.array_equal(nxt, ranks == sizes[:, None])
+
+    @staticmethod
+    def _generator(source, seed):
+        # Coarse keys keep 8 bits of each 16, so ~1-4% of rows tie in the
+        # first round and are redrawn. MT19937's raw words hold only 32
+        # random bits, so a raw-word view would hold zero keys.
+        if source == "mt19937":
+            return np.random.Generator(np.random.MT19937(seed))
+        if source == "coarse":
+            real = np.random.default_rng(seed)
+            return _RawWords(lambda size, call:
+                             real.bit_generator.random_raw(size) & 0x00FF00FF_00FF00FF)
+        return np.random.default_rng(seed)
 
     @pytest.mark.parametrize("per_row", [False, True])
     @pytest.mark.parametrize("source", ["pcg64", "coarse", "mt19937"])
     @pytest.mark.parametrize("width, k", [(w, k) for w in (2, 3, 5) for k in range(w)])
     def test_joint_subset_and_next_uniform(self, width, k, source, per_row):
-        # Coarse keys keep 8 bits of each 16, so ~1-4% of rows tie in the
-        # first round and are redrawn. MT19937's raw words hold only 32
-        # random bits, so a raw-word view would hold zero keys. The pair
-        # (S, z) must stay uniform over its C(width, k) * (width - k) values
-        # either way.
-        seed = 1000 * width + 10 * k + per_row
-        if source == "mt19937":
-            rng = np.random.Generator(np.random.MT19937(seed))
-        elif source == "coarse":
-            real = np.random.default_rng(seed)
-            rng = _RawWords(lambda size, call:
-                            real.bit_generator.random_raw(size) & 0x00FF00FF_00FF00FF)
-        else:
-            rng = np.random.default_rng(seed)
+        # The subset must stay uniform over its C(width, k) values whatever
+        # the source of keys, one k or one k per row, and however many rows
+        # are redrawn.
+        rng = self._generator(source, 1000 * width + 10 * k + per_row)
         draws = 3 * 10**4
-        mask, nxt = _select_smallest(rng, draws, width, np.full(draws, k) if per_row else k,
-                                     with_next=True)
-        assert (mask.sum(axis=1) == k).all() and (nxt.sum(axis=1) == 1).all()
-        outcome = (mask @ (1 << np.arange(width))) * width + nxt.argmax(axis=1)
-        _, counts = np.unique(outcome, return_counts=True)
-        cells = math.comb(width, k) * (width - k)
+        mask = _select_smallest(rng, draws, width, np.full(draws, k) if per_row else k)
+        assert (mask.sum(axis=1) == k).all()
+        _, counts = np.unique(mask @ (1 << np.arange(width)), return_counts=True)
+        cells = math.comb(width, k)
         assert len(counts) == cells
-        exp = draws / cells
-        stat = ((counts - exp) ** 2 / exp).sum()
-        assert stat < scipy.stats.chi2.ppf(1 - 1e-6, df=cells - 1)
+        if cells > 1:
+            exp = draws / cells
+            stat = ((counts - exp) ** 2 / exp).sum()
+            assert stat < scipy.stats.chi2.ppf(1 - 1e-6, df=cells - 1)
 
     @pytest.mark.parametrize("source", ["pcg64", "coarse", "mt19937"])
     def test_exact_tuples_uniform(self, source):
-        # n = 6, members {0, 1}, coalitions of size 3: z1 in {0, 1}, z2 in
-        # {2, ..., 5} and R one of the C(4, 2) pairs of the other four, so
-        # 2 * 4 * 6 = 48 equally likely tuples.
-        n, members, draws = 6, np.array([0, 1]), 48 * 1000
-        if source == "mt19937":
-            rng = np.random.Generator(np.random.MT19937(17))
-        elif source == "coarse":
-            real = np.random.default_rng(17)
-            rng = _RawWords(lambda size, call:
-                            real.bit_generator.random_raw(size) & 0x00FF00FF_00FF00FF)
-        else:
-            rng = np.random.default_rng(17)
-        masks, z1, z2 = sample_paired_tuples(rng, n, members, 2, None, draws)
-        rows = np.arange(draws)
-        assert (masks.sum(axis=1) == 2).all()
-        assert not masks[rows, z1].any() and not masks[rows, z2].any()
-        assert np.isin(z1, members).all() and not np.isin(z2, members).any()
-        outcome = ((masks @ (1 << np.arange(n))) * n + z1) * n + z2
-        _, counts = np.unique(outcome, return_counts=True)
-        assert len(counts) == 48
-        exp = draws / 48
-        stat = ((counts - exp) ** 2 / exp).sum()
-        assert stat < scipy.stats.chi2.ppf(1 - 1e-6, df=47)
+        # n = 6, members {0, 1}, |S| = 2: z1 in {0, 1}, z2 in {2, ..., 5}.
+        # With a drawn overlap (coalitions of size 3 in the exact step) S is
+        # one of the C(4, 2) pairs of the other four: 2 * 4 * 6 = 48 tuples.
+        # With overlap 0 it is one of the C(3, 2) pairs of the other
+        # non-members, and with overlap 1 the other member and one of the
+        # other three non-members: 2 * 4 * 3 = 24 tuples each.
+        n, members = 6, np.array([0, 1])
+        rng = self._generator(source, 17)
+        for s1, tuples in ((None, 48), (0, 24), (1, 24)):
+            draws = tuples * 1000
+            masks, z1, z2 = sample_paired_tuples(rng, n, members, 2, s1, draws)
+            rows = np.arange(draws)
+            assert (masks.sum(axis=1) == 2).all()
+            if s1 is not None:
+                assert (masks[:, members].sum(axis=1) == s1).all()
+            assert not masks[rows, z1].any() and not masks[rows, z2].any()
+            assert np.isin(z1, members).all() and not np.isin(z2, members).any()
+            outcome = ((masks @ (1 << np.arange(n))) * n + z1) * n + z2
+            _, counts = np.unique(outcome, return_counts=True)
+            assert len(counts) == tuples
+            exp = draws / tuples
+            stat = ((counts - exp) ** 2 / exp).sum()
+            assert stat < scipy.stats.chi2.ppf(1 - 1e-6, df=tuples - 1)
 
 
 # Every public function that takes a member set, called on a 6-player game.

@@ -31,10 +31,6 @@ class TestCurve:
         assert curve.final_estimate() == 3.0
         assert len(curve) == 3
 
-    def test_jsonable(self):
-        curve = make_curve([1.5])
-        assert curve.to_jsonable() == [[100, 1.5, 0]]
-
 
 class TestRecorder:
     def test_interval_crossings(self):
