@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .combinatorics import _member_indices, sample_uniform_subsets
 from .games import Game
@@ -269,19 +268,24 @@ def one_for_all_estimator(
 
 def solve_constrained_ls(A: np.ndarray, b: np.ndarray, total: float) -> np.ndarray:
     """Minimizer of the quadratic with gram matrix A and moment vector b under
-    the constraint that the entries sum to ``total``; symmetric dense solve
-    with a tiny ridge fallback for singular A."""
+    the constraint that the entries sum to ``total``.
+
+    ``np.linalg.cholesky``, which reads only the lower triangle, checks that
+    A is positive definite; one dense solve then takes b and the ones vector
+    together. If A is not positive definite, A + 1e-10·I is tried. NumericError
+    when that fails too, or when A, b or ``total`` is not finite."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(total)):
+        raise NumericError("non-finite gram matrix, moment vector or total")
     n = len(b)
-    ones = np.ones(n)
+    rhs = np.stack((b, np.ones(n)), axis=1)
     for attempt, mat in enumerate((A, A + 1e-10 * np.eye(n))):
         try:
-            factor = scipy.linalg.cho_factor(mat, lower=True)
-            x0 = scipy.linalg.cho_solve(factor, b)
-            y = scipy.linalg.cho_solve(factor, ones)
+            np.linalg.cholesky(mat)
+            x0, y = np.linalg.solve(mat, rhs).T
             break
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             if attempt == 1:
                 raise NumericError("gram matrix singular even after ridge fallback")
             log.debug("gram matrix not positive definite; applying ridge fallback")

@@ -253,7 +253,6 @@ def sample_paired_tuples(
     """
     members = _member_indices(members, n)
     s0 = len(members)
-    comp = _split_indices(members, n)
     if s1 is None:
         if not 0 < s0 < n:
             raise ValueError(f"paired tuples need a member and a non-member: "
@@ -272,10 +271,14 @@ def sample_paired_tuples(
             )
     # z1 and z2 are independent and uniform over their pools.
     i1, i2 = np.divmod(rng.integers(0, s0 * (n - s0), size=count), n - s0)
-    z1, z2 = members[i1], comp[i2]
+    z1 = members[i1]
     if s1 is not None:
+        comp = _split_indices(members, n)
         return _assemble(members, comp, _select_smallest(rng, count, s0, s1, pushed=(i1,)),
-                         _select_smallest(rng, count, n - s0, s - s1, pushed=(i2,))), z1, z2
+                         _select_smallest(rng, count, n - s0, s - s1, pushed=(i2,))), z1, comp[i2]
+    # The i2-th non-member is i2 plus the number of members before it, and
+    # members[j] - j non-members come before member j.
+    z2 = i2 + np.searchsorted(members - np.arange(s0), i2, side="right")
     if s < n - 2:
         return _select_smallest(rng, count, n, s, pushed=(z1, z2)), z1, z2
     # S is everything but z1 and z2.

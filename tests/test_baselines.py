@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from groupshapley.baselines import (
@@ -311,8 +312,57 @@ class TestConstrainedSolve:
 
     def test_hopeless_matrix(self):
         A = np.full((3, 3), np.nan)
-        with pytest.raises((NumericError, ValueError)):
+        with pytest.raises(NumericError):
             solve_constrained_ls(A, np.zeros(3), 1.0)
+
+    def test_infinite_matrix(self):
+        A = np.eye(3)
+        A[1, 2] = A[2, 1] = np.inf
+        with pytest.raises(NumericError):
+            solve_constrained_ls(A, np.zeros(3), 1.0)
+
+    def test_nan_moment_vector(self):
+        with pytest.raises(NumericError):
+            solve_constrained_ls(np.eye(3), np.array([0.0, np.nan, 1.0]), 1.0)
+
+    def test_indefinite_matrix(self):
+        # Not positive definite even with the ridge: one negative eigenvalue.
+        with pytest.raises(NumericError):
+            solve_constrained_ls(np.diag([1.0, -1.0, 1.0]), np.zeros(3), 1.0)
+
+    @staticmethod
+    def _cho_reference(A, b, total):
+        n = len(b)
+        for attempt, mat in enumerate((A, A + 1e-10 * np.eye(n))):
+            try:
+                factor = scipy.linalg.cho_factor(mat, lower=True)
+                break
+            except np.linalg.LinAlgError:
+                if attempt == 1:
+                    raise
+        x0 = scipy.linalg.cho_solve(factor, b)
+        y = scipy.linalg.cho_solve(factor, np.ones(n))
+        return x0 - y * ((x0.sum() - total) / y.sum())
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_matches_cholesky_reference(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            M = rng.normal(size=(n, n))
+            A = M @ M.T / n + 0.1 * np.eye(n)
+            b = rng.normal(size=n)
+            total = float(rng.normal())
+            ref = self._cho_reference(A, b, total)
+            x = solve_constrained_ls(A, b, total)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_ridge_fallback_matches_cholesky_reference(self):
+        A = np.zeros((3, 3))
+        A[0, 0] = 1.0
+        b = np.array([0.5, -1.0, 2.0])
+        ref = self._cho_reference(A, b, 3.0)
+        x = solve_constrained_ls(A, b, 3.0)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestBudgetHonesty:

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -418,6 +420,30 @@ def test_non_finite_sou_coefficient_exit_code(tmp_path, capsys, value):
     rc = cli.main(["bench", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: game: non-finite")
+
+
+def test_overflowing_utilities_exit_numeric(tmp_path, capsys):
+    # Finite coefficients whose sums overflow to inf reach the least-squares
+    # solve as non-finite moments: a numeric error, not a traceback.
+    game = {"type": "sou_explicit", "n": 4, "subsets": [[0], [1, 2], [3]],
+            "coefficients": [1e308, 1e308, 1e308]}
+    payload = bench_payload(game=game, groups={"rule": "mod", "k": 2},
+                            methods=[{"name": "kernelshap"}], budget=200)
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    with np.errstate(all="ignore"):
+        rc = cli.main(["bench", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numeric error: ")
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, groupshapley, groupshapley.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestConfigMistakes:
