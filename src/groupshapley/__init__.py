@@ -32,7 +32,6 @@ from .baselines import (
 from .combinatorics import (
     HypergeomParams,
     log_binom,
-    log_family_size,
     sample_paired_tuples,
     sample_subsets_with_intersection,
     sample_uniform_subsets,

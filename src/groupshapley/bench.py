@@ -79,10 +79,11 @@ def _require_index_lists(value, where: str, item: str) -> None:
 
 
 def _check_schema_version(cfg: dict, where: str) -> None:
-    if cfg.get("schema_version") != SCHEMA_VERSION:
+    version = cfg.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(
             f"{where}: schema_version must be {SCHEMA_VERSION}, "
-            f"got {cfg.get('schema_version')!r}"
+            f"got {version!r}"
         )
 
 

@@ -69,11 +69,6 @@ def size_term_weights(n: int, s0: int, s: int) -> tuple[int, np.ndarray]:
     return lo, probs * (n / (n - s)) * (np.arange(lo, lo + len(probs)) / s - s0 / n)
 
 
-def log_family_size(n: int, s0: int, s: int, s1: int) -> float:
-    """Log count of subsets S with |S| = s and |S ∩ S0| = s1."""
-    return log_binom(s0, s1) + log_binom(n - s0, s - s1)
-
-
 def _check_feasible(n: int, s0: int, s: int, s1: int) -> None:
     lo, hi = HypergeomParams(n, s0, s).support()
     if s1 < lo or s1 > hi:

@@ -18,7 +18,6 @@ import numpy as np
 from .combinatorics import (
     _check_feasible,
     _member_indices,
-    log_family_size,
     sample_paired_tuples,
     sample_subsets_with_intersection,
     size_term_weights,
@@ -100,20 +99,31 @@ def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
     return float(mean), float(dev @ dev) / ((m - 1) * m)
 
 
+def _cell_rows(n: int, s0: int, s: int, s1: int | None,
+               config: EstimatorConfig) -> tuple[int, bool]:
+    """Rows one cell of the size plan sends, and whether they enumerate its
+    family: a paired cell (s1 None) 2 * pair_samples, a grid cell its family
+    if exhaustive and no larger than grid_samples, else grid_samples draws."""
+    if s1 is None:
+        return 2 * config.pair_samples, False
+    if config.exhaustive_small_sizes:
+        family = math.comb(s0, s1) * math.comb(n - s0, s - s1)
+        if family <= config.grid_samples:
+            return family, True
+    return config.grid_samples, False
+
+
 def _mean_utility(
-    game: Game, members: np.ndarray, s: int, s1: int, samples: int,
-    rng: np.random.Generator, exhaustive: bool,
-) -> tuple[float, float, int]:
-    """Mean utility over one (size, overlap) family, the variance of that
-    mean, which is zero when the family is enumerated, and the number of
-    evaluations spent."""
-    n, s0 = game.n, len(members)
-    _check_feasible(n, s0, s, s1)
-    if exhaustive and log_family_size(n, s0, s, s1) <= math.log(samples):
-        masks = _family_masks(n, members, s, s1)
-        return float(game.evaluate_masks(masks).mean()), 0.0, len(masks)
-    masks = sample_subsets_with_intersection(rng, n, members, s, s1, samples)
-    return *_mean_and_variance(game.evaluate_masks(masks)), samples
+    game: Game, members: np.ndarray, s: int, s1: int, rows: int,
+    rng: np.random.Generator, enumerate_family: bool,
+) -> tuple[float, float]:
+    """Mean utility over one feasible (size, overlap) family, enumerated or
+    from ``rows`` draws, and the variance of that mean (zero if enumerated)."""
+    if enumerate_family:
+        masks = _family_masks(game.n, members, s, s1)
+        return float(game.evaluate_masks(masks).mean()), 0.0
+    masks = sample_subsets_with_intersection(rng, game.n, members, s, s1, rows)
+    return _mean_and_variance(game.evaluate_masks(masks))
 
 
 def estimate_mean_utility(
@@ -129,7 +139,10 @@ def estimate_mean_utility(
     overlap; enumerates the whole family instead when ``exhaustive`` is set
     and the family is no larger than ``samples``."""
     members = _member_indices(members, game.n)
-    return _mean_utility(game, members, s, s1, samples, rng, exhaustive)[0]
+    _check_feasible(game.n, len(members), s, s1)
+    cell = EstimatorConfig(s + 1, samples, 1, exhaustive_small_sizes=exhaustive)
+    rows, enumerate_family = _cell_rows(game.n, len(members), s, s1, cell)
+    return _mean_utility(game, members, s, s1, rows, rng, enumerate_family)[0]
 
 
 def estimate_mean_utility_gap(
@@ -151,29 +164,29 @@ def estimate_mean_utility_gap(
 def _mean_utility_gap(
     game: Game, members: np.ndarray, s: int, s1: int | None, samples: int,
     rng: np.random.Generator,
-) -> tuple[float, float, int]:
+) -> tuple[float, float]:
     """Mean of the paired differences over base subsets of size s (overlap
-    s1, or drawn where s1 is None), the variance of that mean, and the
-    number of evaluations spent, for parsed members."""
+    s1, or drawn where s1 is None) and the variance of that mean, for parsed
+    members; spends 2 * samples evaluations."""
     with_out, z1, z2 = sample_paired_tuples(rng, game.n, members, s, s1, samples)
     rows = np.arange(samples)
     with_in = with_out.copy()
     with_in[rows, z1] = True
     with_out[rows, z2] = True
     diffs = game.evaluate_masks(with_in) - game.evaluate_masks(with_out)
-    return *_mean_and_variance(diffs), 2 * samples
+    return _mean_and_variance(diffs)
 
 
 def predicted_evaluations(n: int, s0: int, config: EstimatorConfig) -> int:
-    """Utility-evaluation count of :func:`estimate_group_value` in pure
-    sampling mode (no exhaustive enumeration), read off the size plan."""
+    """Utility-evaluation count of :func:`estimate_group_value`, read off the
+    size plan cell by cell."""
     if s0 == 0:
         return 0
     if s0 == n:
         return 2
     return 2 + sum(
-        2 * config.pair_samples if s1 is None else config.grid_samples
-        for _, cells in _size_plan(n, s0, config.size_threshold) for s1, _ in cells
+        _cell_rows(n, s0, s, s1, config)[0]
+        for s, cells in _size_plan(n, s0, config.size_threshold) for s1, _ in cells
     )
 
 
@@ -212,14 +225,14 @@ def _run_plan(
     for s, cells in _size_plan(n, s0, config.size_threshold):
         term = 0.0
         for s1, weight in cells:
+            rows, enumerate_family = _cell_rows(n, s0, s, s1, config)
             if s1 is None:
-                mean, mean_var, spent = _mean_utility_gap(
+                mean, mean_var = _mean_utility_gap(
                     pair_game, members, s - 1, s1, config.pair_samples, rng)
             else:
-                mean, mean_var, spent = _mean_utility(
-                    game, members, s, s1, config.grid_samples, rng,
-                    config.exhaustive_small_sizes)
-            used += spent
+                mean, mean_var = _mean_utility(
+                    game, members, s, s1, rows, rng, enumerate_family)
+            used += rows
             term += weight * mean
             variance_total += weight**2 * mean_var
             recorder.update(used, running + term)

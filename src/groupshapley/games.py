@@ -11,6 +11,8 @@ import csv
 import math
 import numbers
 import threading
+from contextlib import suppress
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -139,36 +141,24 @@ def _exact_limbs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _round_limb_sums(sums: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Correctly rounded ``sum_k sums[k, j] * scales[k]`` for each j, given exact
-    integer limb sums on the grid of :func:`_exact_limbs`; ``sums`` is
-    overwritten. Equals ``math.fsum`` of the terms the limbs were split from.
-    Every part is a multiple of 2^-1074, so scaling it is exact."""
-    count = len(sums)
-    if count <= 2:
-        # Both parts are exact, so their one addition rounds the sum.
+    integer limb sums on the grid of :func:`_exact_limbs`. Below DBL_MAX the
+    parts are exact multiples of 2^-1074: two need one addition, more one
+    ``math.fsum``. Past DBL_MAX, a row rounds its exact rational sum."""
+    if len(sums) <= 2:
         return scales @ sums
-    # Balanced carries leave every limb below the top in [-2^(w-1), 2^(w-1)],
-    # so each part is below the lowest set bit of any nonzero part above it.
-    unit = scales[1] / scales[0]
-    for k in range(count - 1):
-        carry = np.rint(sums[k] / unit)
-        sums[k] -= carry * unit
-        sums[k + 1] += carry
-    parts = sums * scales[:, None]
-    # As at the end of math.fsum: add the parts high to low while each sum is
-    # exact. The first inexact one leaves hi + lo, |lo| <= ulp(hi) / 2, and
-    # the parts below it (the tail) only matter at a tie, where a tail of
-    # lo's sign means rounding away from hi.
-    hi = parts[-1]
-    lo = tail = np.zeros_like(hi)
-    for part in parts[-2::-1]:
-        exact = lo == 0
-        tail = tail + np.where(exact, 0.0, part)
-        total = hi + np.where(exact, part, 0.0)
-        lo = np.where(exact, part - (total - hi), lo)
-        hi = total
-    away = hi + 2 * lo
-    tie = (np.sign(tail) == np.sign(lo)) & (away - hi == 2 * lo)
-    return np.where(tie, away, hi)
+    with np.errstate(over="ignore"):
+        parts = sums.T * scales
+    out = np.full(len(parts), math.inf)
+    for j, row in enumerate(parts):
+        with suppress(OverflowError, ValueError):
+            out[j] = math.fsum(row)
+        if math.isinf(out[j]):
+            exact = sum(Fraction(s) * Fraction(c) for s, c in zip(sums[:, j], scales))
+            try:
+                out[j] = float(exact)
+            except OverflowError:
+                out[j] = math.inf if exact > 0 else -math.inf
+    return out
 
 
 class SOUGame(Game):
@@ -327,8 +317,8 @@ class RegressionGame(Game):
         y_train = np.asarray(y_train, dtype=float)
         self.X_test = np.asarray(X_test, dtype=float)
         self.y_test = np.asarray(y_test, dtype=float)
-        if lam < 0:
-            raise ValueError("ridge penalty must be non-negative")
+        if not 0 <= lam < math.inf:
+            raise ValueError(f"ridge penalty must be a finite number >= 0, got {lam!r}")
         if X_train.ndim != 2 or self.X_test.ndim != 2:
             raise ValueError("predictor matrices must be 2-D")
         super().__init__(X_train.shape[0])

@@ -52,8 +52,9 @@ class TestConfigValidation:
             BenchConfig.from_dict(bench_payload(extra=1))
 
     def test_wrong_schema_version(self):
-        with pytest.raises(ConfigError, match="schema_version"):
-            BenchConfig.from_dict(bench_payload(schema_version=2))
+        for version in (2, True):
+            with pytest.raises(ConfigError, match=f"schema_version must be 1, got {version}"):
+                BenchConfig.from_dict(bench_payload(schema_version=version))
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="unknown method"):
@@ -341,6 +342,8 @@ class TestIntegerFields:
         ("attack", {"group_sizes": ["a"]}, []),
         ("bench", {"budget": 199}, []),
         ("bench", {"budget": 201, "checkpoint_interval": 201}, []),
+        ("bench", {"schema_version": True}, []),
+        ("attack", {"schema_version": True}, []),
     ])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, command, override, args):
         def no_cells(*a, **k):
@@ -420,6 +423,23 @@ def test_non_finite_sou_coefficient_exit_code(tmp_path, capsys, value):
     rc = cli.main(["bench", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: game: non-finite")
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "NaN", "Infinity", "-1"])
+def test_bad_ridge_penalty_exit_code(tmp_path, capsys, token):
+    # json.load reads 1e400 as inf and accepts NaN and Infinity; json.dumps
+    # cannot write 1e400, so the token goes into the config text by hand.
+    data = tmp_path / "data.csv"
+    data.write_text("a,y\n" + "".join(f"{i},{i % 3}\n" for i in range(8)))
+    game = {"type": "regression_csv", "path": str(data), "test_fraction": 0.5,
+            "lambda": "LAMBDA", "seed": 0}
+    text = json.dumps(bench_payload(game=game, groups={"rule": "mod", "k": 2}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace('"LAMBDA"', token))
+    rc = cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: game: ridge penalty must be a finite number >= 0")
 
 
 def test_overflowing_utilities_exit_numeric(tmp_path, capsys):

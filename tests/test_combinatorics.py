@@ -13,7 +13,6 @@ from groupshapley.combinatorics import (
     _select_smallest,
     _split_indices,
     log_binom,
-    log_family_size,
     sample_paired_tuples,
     sample_subsets_with_intersection,
     sample_uniform_subsets,
@@ -225,11 +224,6 @@ class TestPmf:
             for s1 in range(lo, hi + 1):
                 ref = scipy.stats.hypergeom.pmf(s1, n, s0, s)
                 assert p.pmf(s1) == pytest.approx(ref, rel=1e-10)
-
-    def test_family_size_log(self):
-        assert log_family_size(6, 3, 3, 1) == pytest.approx(
-            math.log(math.comb(3, 1) * math.comb(3, 2)), abs=1e-12
-        )
 
 
 class TestSizeTermWeights:

@@ -176,6 +176,28 @@ class TestEstimateGroupValue:
             assert est.evaluations_used == used
             assert used == predicted_evaluations(n, s0, cfg)
 
+    def test_budget_formula_exact_when_exhaustive(self):
+        # An enumerated family spends its size, not grid_samples, and the
+        # plan predicts that too: the first three configs spend 380, 346 and
+        # 65 536 evaluations, not 482, 1 210 and 63 000 002.
+        g = sou_generate(16, 64, 7)
+        configs = [(16, [0, 3, 5, 11], 4, 32), (16, [0, 3, 5, 11], 3, 200),
+                   (16, [0, 3, 5, 11], 16, 10**6)]
+        rng = np.random.default_rng(89)
+        for _ in range(12):
+            n = int(rng.integers(4, 14))
+            members = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            configs.append((n, members, int(rng.integers(1, n + 1)),
+                            int(rng.integers(1, 300))))
+        for n, members, threshold, grid in configs:
+            game = g if n == 16 else sou_generate(n, n, int(rng.integers(10**6)))
+            cfg = EstimatorConfig(size_threshold=threshold, grid_samples=grid,
+                                  pair_samples=8, exhaustive_small_sizes=True)
+            before = game.eval_counter
+            est = estimate_group_value(game, members, cfg, rng=rng)
+            assert est.evaluations_used == predicted_evaluations(n, len(members), cfg) \
+                == game.eval_counter - before
+
     def test_determinism(self):
         g1 = sou_generate(9, 18, 6)
         g2 = sou_generate(9, 18, 6)

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,6 +204,9 @@ class TestSouGenerate:
             sou_generate(5, 0, 0)
 
 
+DBL_MAX = sys.float_info.max
+
+
 def _random_sou(n, d, rng, coefficients="uniform"):
     """SOU game with a mix of small and arbitrary-size subsets, so random
     coalitions contain some of them. Coefficients are uniform on [0, 1),
@@ -272,13 +276,43 @@ class TestSouKernel:
         assert np.array_equal(g._values(masks), _fsum_reference(g, masks))
 
     def test_ties_across_limbs(self):
-        # 1 + 2^-53 lies halfway between two doubles; the parts far below it
-        # decide the rounding, which a sum of the limbs high to low misses.
-        coefs = [1.0, 2.0**-53, 2.0**-150, -(2.0**-200), -(2.0**-53), 3 * 2.0**-54]
-        g = SOUGame(6, [[j] for j in range(6)], coefs)
         masks = np.array(list(itertools.product([False, True], repeat=6)))
-        assert len(g._scales) >= 3
-        assert np.array_equal(g._values(masks), _fsum_reference(g, masks))
+        for coefs in (
+            # 1 + 2^-53 lies halfway between two doubles; the parts far below
+            # it decide the rounding, which a sum of the limbs high to low
+            # misses.
+            [1.0, 2.0**-53, 2.0**-150, -(2.0**-200), -(2.0**-53), 3 * 2.0**-54],
+            # DBL_MAX with 1.0, a subnormal and parts near its last bit: every
+            # sum is finite, and {DBL_MAX} and {DBL_MAX, 1.0} are DBL_MAX.
+            [DBL_MAX, 1.0, 5e-324, -(2.0**971), 2.0**969, -1.0],
+        ):
+            g = SOUGame(6, [[j] for j in range(6)], coefs)
+            assert len(g._scales) >= 3
+            assert np.array_equal(g._values(masks), _fsum_reference(g, masks))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_row_leaves_others_alone(self, sign):
+        # Only {0, 1}, with or without the tiny 3, sums past DBL_MAX. With 2,
+        # its top limb part overflows on the way to 2^1024 - 2^972.
+        coefs = [sign * 2.0**1023, sign * 2.0**1023, -sign * 2.0**972, 2.0**-1000]
+        g = SOUGame(4, [[j] for j in range(4)], coefs)
+        masks = np.array(list(itertools.product([False, True], repeat=4)))
+        assert len(g._scales) > 2
+        got = g.evaluate_masks(masks)
+        overflows = masks[:, 0] & masks[:, 1] & ~masks[:, 2]
+        assert np.array_equal(got[overflows], [sign * math.inf] * 2)
+        for mask, value in zip(masks[~overflows], got[~overflows]):
+            row = [c for c, inside in zip(coefs, mask) if inside]
+            assert value == g.evaluate_mask(mask) == float(sum(map(Fraction, row)))
+            # Smallest first, no partial sum of math.fsum passes DBL_MAX.
+            assert value == math.fsum(sorted(row, key=abs))
+
+    def test_benchmark_games_take_the_two_limb_step(self):
+        # Nonzero sou_generate coefficients are means of (i mod 4)/4, within
+        # [1/(4n), 3/4], so the benchmark's games never reach math.fsum.
+        for n, d in ((64, 4096), (1024, 32), (32, 256), (128, 32)):
+            for seed in np.random.SeedSequence(0).generate_state(3):
+                assert len(sou_generate(n, d, int(seed))._scales) <= 2
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -534,9 +568,10 @@ class TestRegressionGame:
         assert g.evaluate(range(20)) > g.null_utility
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RegressionGame(np.zeros((4, 2)), np.zeros(4), np.zeros((3, 2)),
-                           np.zeros(3), lam=-1.0)
+        for lam in (-1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="ridge penalty must be a finite number"):
+                RegressionGame(np.zeros((4, 2)), np.zeros(4), np.zeros((3, 2)),
+                               np.zeros(3), lam=lam)
 
 
 def _row_by_row(game, masks):
