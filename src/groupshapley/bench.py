@@ -80,7 +80,7 @@ def _require_index_lists(value, where: str, item: str) -> None:
 
 def _check_schema_version(cfg: dict, where: str) -> None:
     version = cfg.get("schema_version")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
             f"{where}: schema_version must be {SCHEMA_VERSION}, "
             f"got {version!r}"

@@ -99,18 +99,24 @@ def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
     return float(mean), float(dev @ dev) / ((m - 1) * m)
 
 
+def _grid_rows(n: int, s0: int, s: int, s1: int, samples: int,
+               exhaustive: bool) -> tuple[int, bool]:
+    """Rows one (size, overlap) family sends, and whether they enumerate it:
+    all of it if ``exhaustive`` and no larger than ``samples``, else ``samples``."""
+    if exhaustive:
+        family = math.comb(s0, s1) * math.comb(n - s0, s - s1)
+        if family <= samples:
+            return family, True
+    return samples, False
+
+
 def _cell_rows(n: int, s0: int, s: int, s1: int | None,
                config: EstimatorConfig) -> tuple[int, bool]:
-    """Rows one cell of the size plan sends, and whether they enumerate its
-    family: a paired cell (s1 None) 2 * pair_samples, a grid cell its family
-    if exhaustive and no larger than grid_samples, else grid_samples draws."""
+    """:func:`_grid_rows` of one cell of the size plan; a paired cell (s1 None)
+    sends 2 * pair_samples rows."""
     if s1 is None:
         return 2 * config.pair_samples, False
-    if config.exhaustive_small_sizes:
-        family = math.comb(s0, s1) * math.comb(n - s0, s - s1)
-        if family <= config.grid_samples:
-            return family, True
-    return config.grid_samples, False
+    return _grid_rows(n, s0, s, s1, config.grid_samples, config.exhaustive_small_sizes)
 
 
 def _mean_utility(
@@ -140,8 +146,7 @@ def estimate_mean_utility(
     and the family is no larger than ``samples``."""
     members = _member_indices(members, game.n)
     _check_feasible(game.n, len(members), s, s1)
-    cell = EstimatorConfig(s + 1, samples, 1, exhaustive_small_sizes=exhaustive)
-    rows, enumerate_family = _cell_rows(game.n, len(members), s, s1, cell)
+    rows, enumerate_family = _grid_rows(game.n, len(members), s, s1, samples, exhaustive)
     return _mean_utility(game, members, s, s1, rows, rng, enumerate_family)[0]
 
 

@@ -11,8 +11,6 @@ import csv
 import math
 import numbers
 import threading
-from contextlib import suppress
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -141,23 +139,20 @@ def _exact_limbs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _round_limb_sums(sums: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Correctly rounded ``sum_k sums[k, j] * scales[k]`` for each j, given exact
-    integer limb sums on the grid of :func:`_exact_limbs`. Below DBL_MAX the
-    parts are exact multiples of 2^-1074: two need one addition, more one
-    ``math.fsum``. Past DBL_MAX, a row rounds its exact rational sum."""
+    integer limb sums on the grid of :func:`_exact_limbs`, which starts at or
+    below 2^0. Two limbs hold parts below 2^105, which one addition rounds
+    correctly. Wider rows are summed exactly in units of the lowest limb and
+    rounded by one division, ±inf where that passes DBL_MAX."""
     if len(sums) <= 2:
         return scales @ sums
-    with np.errstate(over="ignore"):
-        parts = sums.T * scales
-    out = np.full(len(parts), math.inf)
-    for j, row in enumerate(parts):
-        with suppress(OverflowError, ValueError):
-            out[j] = math.fsum(row)
-        if math.isinf(out[j]):
-            exact = sum(Fraction(s) * Fraction(c) for s, c in zip(sums[:, j], scales))
-            try:
-                out[j] = float(exact)
-            except OverflowError:
-                out[j] = math.inf if exact > 0 else -math.inf
+    exponents = [math.frexp(c)[1] - 1 for c in scales]  # scales[k] == 2^exponents[k]
+    out = np.empty(sums.shape[1])
+    for j, column in enumerate(sums.T.tolist()):
+        total = sum(int(s) << (e - exponents[0]) for s, e in zip(column, exponents))
+        try:
+            out[j] = total / (1 << -exponents[0])  # int true division rounds correctly
+        except OverflowError:
+            out[j] = math.inf if total > 0 else -math.inf
     return out
 
 

@@ -52,7 +52,7 @@ class TestConfigValidation:
             BenchConfig.from_dict(bench_payload(extra=1))
 
     def test_wrong_schema_version(self):
-        for version in (2, True):
+        for version in (2, True, 1.0):
             with pytest.raises(ConfigError, match=f"schema_version must be 1, got {version}"):
                 BenchConfig.from_dict(bench_payload(schema_version=version))
 

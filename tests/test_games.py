@@ -28,6 +28,7 @@ from groupshapley.games import (
     SOUGame,
     SizeOnlyGame,
     UnsupportedGameError,
+    _exact_limbs,
     augment_with_null,
     game_from_config,
     load_regression_csv,
@@ -291,25 +292,40 @@ class TestSouKernel:
             assert np.array_equal(g._values(masks), _fsum_reference(g, masks))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_overflowing_row_leaves_others_alone(self, sign):
+    @pytest.mark.parametrize("coefs, overflowing", [
         # Only {0, 1}, with or without the tiny 3, sums past DBL_MAX. With 2,
         # its top limb part overflows on the way to 2^1024 - 2^972.
-        coefs = [sign * 2.0**1023, sign * 2.0**1023, -sign * 2.0**972, 2.0**-1000]
+        ([2.0**1023, 2.0**1023, -(2.0**972), 2.0**-1000], [{0, 1}, {0, 1, 3}]),
+        # {0, 1, 2, 3} is 2^1024 - 7 * 2^972, below DBL_MAX; {0, 1} with one
+        # of 2 and 3 is not.
+        ([2.0**1023, 2.0**1023 + 2.0**977, -(2.0**976 + 7 * 2.0**971),
+          -(2.0**976 + 7 * 2.0**971)], [{0, 1}, {0, 1, 2}, {0, 1, 3}]),
+    ])
+    def test_overflowing_row_leaves_others_alone(self, sign, coefs, overflowing):
+        coefs = [sign * c for c in coefs]
         g = SOUGame(4, [[j] for j in range(4)], coefs)
         masks = np.array(list(itertools.product([False, True], repeat=4)))
         assert len(g._scales) > 2
         got = g.evaluate_masks(masks)
-        overflows = masks[:, 0] & masks[:, 1] & ~masks[:, 2]
-        assert np.array_equal(got[overflows], [sign * math.inf] * 2)
+        overflows = np.array([set(np.flatnonzero(m)) in overflowing for m in masks])
+        assert np.array_equal(got[overflows], [sign * math.inf] * len(overflowing))
         for mask, value in zip(masks[~overflows], got[~overflows]):
             row = [c for c, inside in zip(coefs, mask) if inside]
             assert value == g.evaluate_mask(mask) == float(sum(map(Fraction, row)))
             # Smallest first, no partial sum of math.fsum passes DBL_MAX.
             assert value == math.fsum(sorted(row, key=abs))
 
+    def test_two_limbs_stay_below_overflow(self):
+        # The grid starts at or below 2^0, so a game with two limbs or fewer
+        # sums parts below 2^105 in one addition, which cannot overflow.
+        for e in range(-1074, 1024, 3):
+            for coefs in ([2.0**e], [2.0**e, -3.0], [2.0**e, 2.0**-1074]):
+                limbs, scales = _exact_limbs(np.array(coefs))
+                assert len(scales) > 2 or scales[-1] <= 2.0**52
+
     def test_benchmark_games_take_the_two_limb_step(self):
         # Nonzero sou_generate coefficients are means of (i mod 4)/4, within
-        # [1/(4n), 3/4], so the benchmark's games never reach math.fsum.
+        # [1/(4n), 3/4], so the benchmark's games never reach the per-row exact sum.
         for n, d in ((64, 4096), (1024, 32), (32, 256), (128, 32)):
             for seed in np.random.SeedSequence(0).generate_state(3):
                 assert len(sou_generate(n, d, int(seed))._scales) <= 2
