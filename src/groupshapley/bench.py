@@ -7,14 +7,14 @@ deterministic order so identical configs reproduce identical files.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -285,11 +285,13 @@ def compute_truth(config: BenchConfig, game: Game, partition: Partition):
 def fgsv_config_for(n: int, s0: int, per_group_budget: int, method: dict) -> EstimatorConfig:
     """Estimator parameters that spend close to (and never more than) the
     per-group share of the budget, with equal sample counts in both regimes
-    unless overridden."""
+    unless overridden. With enumeration, the counts are the largest whose
+    plan fits the share."""
     s_bar = max(1, min(int(method.get("size_threshold", 10)), n))
     probe = EstimatorConfig(size_threshold=s_bar, grid_samples=1, pair_samples=1)
     per_sample = predicted_evaluations(n, s0, probe) - 2
-    if "grid_samples" in method or "pair_samples" in method:
+    explicit = "grid_samples" in method or "pair_samples" in method
+    if explicit:
         m1 = int(method.get("grid_samples", 1))
         m2 = int(method.get("pair_samples", m1))
     else:
@@ -300,6 +302,15 @@ def fgsv_config_for(n: int, s0: int, per_group_budget: int, method: dict) -> Est
         pair_samples=m2,
         exhaustive_small_sizes=bool(method.get("exhaustive", False)),
     )
+    if cfg.exhaustive_small_sizes and not explicit:
+        # An enumerated family costs fewer rows than m samples, so more
+        # samples may fit. The cost never falls as m grows, and past the
+        # share it exceeds the share unless every cell is enumerated.
+        def cost(m):
+            return predicted_evaluations(n, s0, replace(cfg, grid_samples=m, pair_samples=m))
+        m1 += bisect.bisect_right(range(m1 + 1, per_group_budget + 1),
+                                  per_group_budget, key=cost)
+        cfg = replace(cfg, grid_samples=m1, pair_samples=m1)
     predicted = predicted_evaluations(n, s0, cfg)
     # Aim for comfortably more than 100 curve checkpoints per group.
     cfg.checkpoint_interval = max(1, predicted // 120)
@@ -347,6 +358,21 @@ def _run_cell(config: BenchConfig, game: Game, partition: Partition, rep: int,
     return rows
 
 
+# Set in each worker process by _init_worker. A forked worker inherits the
+# parent's game, so passing it to the initializer copies nothing; passing it
+# with every cell would pickle it once per cell.
+_worker_args = None
+
+
+def _init_worker(config: BenchConfig, game: Game, partition: Partition) -> None:
+    global _worker_args
+    _worker_args = (config, game, partition)
+
+
+def _run_worker_cell(cell) -> list[dict]:
+    return _run_cell(*_worker_args, *cell)
+
+
 def _safe_are(estimate: float, truth: float) -> float:
     if truth == 0:
         return math.nan
@@ -369,25 +395,46 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     """Runs the full grid and writes results.csv and summary.csv in out_dir.
 
     The game is built once and every cell evaluates it; each run counts the
-    rows its own plan sends. Rows appear in (replication, method, group) order regardless of the
-    thread count; group ids are 1-based in the output.
+    rows its own plan sends. With ``threads`` > 1 the (replication, method)
+    cells run in up to ``threads`` worker processes forked from this one,
+    which share the game without copying it. The first cell to raise cancels
+    the cells not yet started, and its error is raised here after every
+    worker has exited. Rows appear in (replication, method, group) order
+    regardless of the worker count; group ids are 1-based in the output.
     """
+    cells = [
+        (rep, mi, m)
+        for rep in range(config.replications)
+        for mi, m in enumerate(config.methods)
+    ]
+    workers = min(threads, len(cells))
+    if workers > 1:
+        # Imported only here: loading them takes ~13 ms, which the sequential
+        # path and the other commands would pay for nothing.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            fork = multiprocessing.get_context("fork")
+        except ValueError as exc:
+            raise ConfigError("--threads > 1 needs the fork start method, "
+                              "which this platform lacks") from exc
     game = build_game(config.game_spec)
     partition = partition_from_spec(config.groups_spec, game.n)
     _validate_budgets(config, game.n, partition)
     truths, truth_source = compute_truth(config, game, partition)
     os.makedirs(out_dir, exist_ok=True)
 
-    cells = [
-        (rep, mi, m)
-        for rep in range(config.replications)
-        for mi, m in enumerate(config.methods)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cell_rows = list(pool.map(
-                lambda c: _run_cell(config, game, partition, *c), cells
-            ))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
+                                 initializer=_init_worker,
+                                 initargs=(config, game, partition)) as pool:
+            try:
+                cell_rows = list(pool.map(_run_worker_cell, cells))
+            except BaseException:
+                # CPython's map cancels the rest as well, but does not say so.
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         cell_rows = [_run_cell(config, game, partition, *c) for c in cells]
 

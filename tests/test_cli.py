@@ -1,11 +1,15 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupshapley import bench, cli, combinatorics
 from groupshapley.baselines import BASELINE_ESTIMATORS, predicted_baseline_evaluations
@@ -159,6 +163,7 @@ class TestBenchCommand:
                        "--threads", threads])
         assert rc == 3
         assert capsys.readouterr().err.startswith("numeric error: random keys still tied")
+        assert multiprocessing.active_children() == []
 
     def test_row_fields(self, tmp_path):
         cfg_path = write_config(tmp_path, "bench.json",
@@ -314,6 +319,114 @@ class TestBenchCommand:
             assert int(r["evals"]) == want
 
 
+class TestWorkerProcesses:
+    """With threads > 1, cells run in worker processes forked from the
+    caller: never more workers than cells, none left running afterwards."""
+
+    @staticmethod
+    def record_pids(monkeypatch, path, name):
+        real = getattr(bench, name)
+
+        def recording(*args):
+            with open(path, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(bench, name, recording)
+
+    @pytest.mark.parametrize("threads, replications", [(2, 3), (8, 1)])
+    def test_cells_leave_the_parent(self, tmp_path, monkeypatch, threads, replications):
+        # Forked workers inherit the patched functions.
+        self.record_pids(monkeypatch, tmp_path / "cells", "_run_cell")
+        self.record_pids(monkeypatch, tmp_path / "workers", "_init_worker")
+        payload = bench_payload(methods=[{"name": "fgsv", "size_threshold": 4},
+                                         {"name": "permutation"}],
+                                replications=replications)
+        run_benchmark(BenchConfig.from_dict(payload), tmp_path / "out", threads=threads)
+        cells = [int(p) for p in (tmp_path / "cells").read_text().split()]
+        workers = [int(p) for p in (tmp_path / "workers").read_text().split()]
+        assert len(cells) == 2 * replications
+        assert os.getpid() not in cells + workers
+        assert set(cells) <= set(workers)
+        assert len(workers) == len(set(workers)) <= min(threads, len(cells))
+        assert multiprocessing.active_children() == []
+
+    def test_failing_cell_cancels_queued_cells(self, tmp_path, capsys, monkeypatch):
+        started = tmp_path / "started"
+        real_cell = bench._run_cell
+
+        def failing_first(config, game, partition, rep, method_index, method):
+            with open(started, "a") as fh:
+                fh.write(f"{rep} {method_index}\n")
+            if (rep, method_index) == (0, 0):
+                raise FloatingPointError("first cell failed")
+            time.sleep(0.2)
+            return real_cell(config, game, partition, rep, method_index, method)
+
+        monkeypatch.setattr(bench, "_run_cell", failing_first)
+        cfg_path = write_config(tmp_path, "bench.json", bench_payload(replications=10))
+        rc = cli.main(["bench", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                       "--threads", "2"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numeric error: first cell failed")
+        assert multiprocessing.active_children() == []
+        # 30 cells: the two workers start a few before the error reaches the
+        # parent, which cancels the rest.
+        assert len(started.read_text().splitlines()) < 15
+
+    def test_no_fork_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_fork(method):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        cfg_path = write_config(tmp_path, "bench.json", bench_payload())
+        out = tmp_path / "out"
+        rc = cli.main(["bench", "--config", cfg_path, "--out", str(out), "--threads", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: --threads > 1 needs the fork start method")
+        assert not out.exists()
+        assert cli.main(["bench", "--config", cfg_path, "--out", str(out),
+                         "--threads", "1"]) == 0
+
+
+class TestFgsvConfigFor:
+    """Without explicit sample counts, fgsv takes the most samples whose
+    planned evaluations fit the group's share of the budget."""
+
+    def test_exhaustive_fills_share(self):
+        # SOU n = 12, mod-4 groups of 3, share 500: enumeration makes 17
+        # samples (the count without it) spend 435; 19 spend 483, 20 spend 507.
+        method = {"name": "fgsv", "size_threshold": 6, "exhaustive": True}
+        cfg = fgsv_config_for(12, 3, 500, method)
+        assert (cfg.grid_samples, cfg.pair_samples) == (19, 19)
+        assert predicted_evaluations(12, 3, cfg) == 483
+        assert predicted_evaluations(12, 3, replace(cfg, grid_samples=17, pair_samples=17)) == 435
+        assert predicted_evaluations(12, 3, replace(cfg, grid_samples=20, pair_samples=20)) == 507
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 40), data=st.data())
+    def test_exhaustive_never_over_share(self, n, data):
+        s0 = data.draw(st.integers(1, n), label="s0")
+        threshold = data.draw(st.integers(1, n), label="size_threshold")
+        share = data.draw(st.integers(2, 5000), label="share")
+        method = {"name": "fgsv", "size_threshold": threshold, "exhaustive": True}
+        cfg = fgsv_config_for(n, s0, share, method)
+        used = predicted_evaluations(n, s0, cfg)
+        m = cfg.grid_samples
+        assert cfg.pair_samples == m
+        if predicted_evaluations(n, s0, replace(cfg, grid_samples=1, pair_samples=1)) > share:
+            assert m == 1  # below the minimum, which _validate_budgets rejects
+            return
+        assert used <= share
+        plain = fgsv_config_for(n, s0, share, {**method, "exhaustive": False})
+        assert m >= plain.grid_samples
+        # One more sample goes over the share, or buys nothing because every
+        # cell is enumerated.
+        more = predicted_evaluations(n, s0, replace(cfg, grid_samples=m + 1, pair_samples=m + 1))
+        assert more > share or more == used
+
+
 class TestIntegerFields:
     """Integer config fields and seeds must be integers at or above their
     minimum, and config sections must be objects; anything else is a config
@@ -442,7 +555,8 @@ def test_bad_ridge_penalty_exit_code(tmp_path, capsys, token):
         "config error: game: ridge penalty must be a finite number >= 0")
 
 
-def test_overflowing_utilities_exit_numeric(tmp_path, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_utilities_exit_numeric(tmp_path, capsys, threads):
     # Finite coefficients whose sums overflow to inf reach the least-squares
     # solve as non-finite moments: a numeric error, not a traceback.
     game = {"type": "sou_explicit", "n": 4, "subsets": [[0], [1, 2], [3]],
@@ -451,9 +565,11 @@ def test_overflowing_utilities_exit_numeric(tmp_path, capsys):
                             methods=[{"name": "kernelshap"}], budget=200)
     cfg = write_config(tmp_path, "cfg.json", payload)
     with np.errstate(all="ignore"):
-        rc = cli.main(["bench", "--config", cfg, "--out", str(tmp_path / "out")])
+        rc = cli.main(["bench", "--config", cfg, "--out", str(tmp_path / "out"),
+                       "--threads", threads])
     assert rc == 3
     assert capsys.readouterr().err.startswith("numeric error: ")
+    assert multiprocessing.active_children() == []
 
 
 def test_import_loads_no_scipy():
