@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import ctypes
 import json
 import logging
 import math
@@ -364,13 +365,50 @@ def _run_cell(config: BenchConfig, game: Game, partition: Partition, rep: int,
 _worker_args = None
 
 
-def _init_worker(config: BenchConfig, game: Game, partition: Partition) -> None:
+def _init_worker(config: BenchConfig, game: Game, partition: Partition,
+                 workers: int) -> None:
     global _worker_args
     _worker_args = (config, game, partition)
+    # Each worker inherits the parent's whole BLAS pool; left so, the pools'
+    # spinning threads take the cores the other workers compute on.
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    _set_openblas_threads(max(1, cores // workers))
 
 
 def _run_worker_cell(cell) -> list[dict]:
     return _run_cell(*_worker_args, *cell)
+
+
+_OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _set_openblas_threads(count: int) -> None:
+    """Sets the thread count of every OpenBLAS loaded in this process, found
+    by path in /proc/self/maps; does nothing where there is none or no such
+    file. Other BLAS libraries are left alone."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                     if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in _OPENBLAS_SET_THREADS
+                       if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(count)
 
 
 def _safe_are(estimate: float, truth: float) -> float:
@@ -397,7 +435,10 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     The game is built once and every cell evaluates it; each run counts the
     rows its own plan sends. With ``threads`` > 1 the (replication, method)
     cells run in up to ``threads`` worker processes forked from this one,
-    which share the game without copying it. The first cell to raise cancels
+    which share the game without copying it. Each of N workers sets every
+    loaded OpenBLAS to ``max(1, cores // N)`` threads, cores being those this
+    process may run on; this process keeps its own BLAS setting, and other
+    BLAS libraries are left alone. The first cell to raise cancels
     the cells not yet started, and its error is raised here after every
     worker has exited. Rows appear in (replication, method, group) order
     regardless of the worker count; group ids are 1-based in the output.
@@ -428,7 +469,7 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
                                  initializer=_init_worker,
-                                 initargs=(config, game, partition)) as pool:
+                                 initargs=(config, game, partition, workers)) as pool:
             try:
                 cell_rows = list(pool.map(_run_worker_cell, cells))
             except BaseException:

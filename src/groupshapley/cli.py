@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes for bench cells; other commands "
+                       help="worker processes for bench cells, each with "
+                            "max(1, cores // workers) OpenBLAS threads; other commands "
                             f"ignore it (default: ${THREADS_ENV_VAR} or 1)")
     return parser
 

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import multiprocessing
 import os
@@ -194,21 +195,6 @@ class TestBenchCommand:
                          for r in rows])
         assert outs[0] == outs[1]
 
-    def test_threads_match_sequential(self, tmp_path):
-        cfg_path = write_config(tmp_path, "bench.json",
-                                bench_payload(replications=2))
-        bodies = []
-        for d, threads in (("s1", "1"), ("s4", "4")):
-            out = tmp_path / d
-            cli.main(["bench", "--config", cfg_path, "--out", str(out),
-                      "--threads", threads])
-            with open(out / "results.csv") as fh:
-                rows = list(csv.reader(fh))
-            drop = rows[0].index("wall_time_ns")
-            bodies.append([[c for i, c in enumerate(r) if i != drop]
-                           for r in rows])
-        assert bodies[0] == bodies[1]
-
     @pytest.mark.parametrize("truth", [
         {"source": "auto"},
         {"source": "reference", "reference_budget": 450},
@@ -286,19 +272,9 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith(f"config error: methods[fgsv]: {key}")
 
     def test_regression_csv_exact_truth(self, tmp_path):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(16, 3))
-        y = X @ np.array([1.0, -1.0, 0.5]) + 0.3 * rng.normal(size=16)
-        data = tmp_path / "data.csv"
-        data.write_text("a,b,c,y\n" + "".join(
-            ",".join(repr(float(v)) for v in (*x, t)) + "\n" for x, t in zip(X, y)))
         fgsv = {"name": "fgsv"}
-        payload = bench_payload(
-            game={"type": "regression_csv", "path": str(data),
-                  "test_fraction": 0.25, "lambda": 1.0, "seed": 3},
-            groups={"rule": "mod", "k": 3}, truth={"source": "exact"},
-            methods=[fgsv, {"name": "permutation"}], budget=600, replications=2,
-        )
+        payload = ridge_payload(tmp_path, 16)
+        payload.update(methods=[fgsv, {"name": "permutation"}], budget=600, replications=2)
         out = tmp_path / "out"
         rc = cli.main(["bench", "--config", write_config(tmp_path, "cfg.json", payload),
                        "--out", str(out)])
@@ -319,9 +295,46 @@ class TestBenchCommand:
             assert int(r["evals"]) == want
 
 
+OPENBLAS_GET_THREADS = (
+    "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_", "openblas_get_num_threads",
+)
+
+
+def openblas_thread_counts() -> list[int]:
+    """The thread count of each OpenBLAS loaded in this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                     if "openblas" in line.lower()}
+    except OSError:
+        return []
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        counts.append(getattr(lib, next(g for g in OPENBLAS_GET_THREADS if hasattr(lib, g)))())
+    return counts
+
+
+def ridge_payload(tmp_path, rows):
+    """A ridge game on a seeded ``rows``-row CSV, with exact truth."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(rows, 3))
+    y = X @ np.array([1.0, -1.0, 0.5]) + 0.3 * rng.normal(size=rows)
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,c,y\n" + "".join(
+        ",".join(repr(float(v)) for v in (*x, t)) + "\n" for x, t in zip(X, y)))
+    return bench_payload(
+        game={"type": "regression_csv", "path": str(data),
+              "test_fraction": 0.25, "lambda": 1.0, "seed": 3},
+        groups={"rule": "mod", "k": 3}, truth={"source": "exact"},
+    )
+
+
 class TestWorkerProcesses:
     """With threads > 1, cells run in worker processes forked from the
-    caller: never more workers than cells, none left running afterwards."""
+    caller: never more workers than cells, each with its share of the
+    cores for OpenBLAS, none left running afterwards."""
 
     @staticmethod
     def record_pids(monkeypatch, path, name):
@@ -350,6 +363,54 @@ class TestWorkerProcesses:
         assert set(cells) <= set(workers)
         assert len(workers) == len(set(workers)) <= min(threads, len(cells))
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads, replications", [(1, 1), (2, 3), (8, 4)])
+    def test_workers_share_the_blas_threads(self, tmp_path, monkeypatch, threads,
+                                            replications):
+        before = openblas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        seen = tmp_path / "seen"
+        real = bench._run_cell
+
+        def recording(*args):
+            with open(seen, "a") as fh:
+                fh.write(" ".join(map(str, openblas_thread_counts())) + "\n")
+            return real(*args)
+
+        monkeypatch.setattr(bench, "_run_cell", recording)
+        payload = bench_payload(methods=[{"name": "fgsv", "size_threshold": 4},
+                                         {"name": "permutation"}],
+                                replications=replications)
+        run_benchmark(BenchConfig.from_dict(payload), tmp_path / "out", threads=threads)
+        workers = min(threads, 2 * replications)
+        share = max(1, len(os.sched_getaffinity(0)) // workers)
+        want = before if workers == 1 else [share] * len(before)
+        counts = [[int(c) for c in line.split()] for line in seen.read_text().splitlines()]
+        assert counts == [want] * (2 * replications)
+        assert openblas_thread_counts() == before
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("game", ["sou", "regression"])
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, game):
+        methods = [{"name": "fgsv"}] + [{"name": m} for m in BASELINE_ESTIMATORS]
+        if game == "sou":
+            payload = bench_payload(game={"type": "sou", "n": 32, "d": 256, "seed": 5},
+                                    budget=4000)
+        else:
+            payload = ridge_payload(tmp_path, 24)
+        payload.update(methods=methods, replications=2)
+        outputs = []
+        for threads in (1, 2, 4):
+            out = tmp_path / f"t{threads}"
+            run_benchmark(BenchConfig.from_dict(payload), out, threads=threads)
+            with open(out / "results.csv") as fh:
+                rows = list(csv.reader(fh))
+            drop = rows[0].index("wall_time_ns")
+            outputs.append(([[c for i, c in enumerate(r) if i != drop] for r in rows],
+                            (out / "summary.csv").read_bytes()))
+            assert multiprocessing.active_children() == []
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_failing_cell_cancels_queued_cells(self, tmp_path, capsys, monkeypatch):
         started = tmp_path / "started"
