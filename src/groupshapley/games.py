@@ -27,7 +27,9 @@ class Game:
 
     Subclasses implement ``_values(masks)``, the utility of each row of a
     boolean (batch, n) membership matrix. A single evaluation is a one-row
-    batch.
+    batch. What a game precomputes, such as the SOU lookup tables, is
+    immutable data derived from its definition, built before any evaluation;
+    it holds no utility of any coalition, so it is no utility cache.
     """
 
     def __init__(self, n: int):
@@ -98,21 +100,12 @@ class Game:
         )
 
 
-# Entries of one (words, rows, subsets) block of the SOU kernel. 2^15
-# uint64 words keep each block's temporaries near 256 KB, inside a core's L2
-# cache, and keep each block's limb matmul small (8 rows x 4096 subsets x 2
-# limbs at n=64, d=4096) so that OpenBLAS runs it on one thread.
-_SOU_CHUNK_ENTRIES = 1 << 15
-
-
-def _pack_masks(masks: np.ndarray) -> np.ndarray:
-    """Packs boolean rows into uint64 words, player i at bit i % 64 of word
-    i // 64, zero-padded to a whole number of words. Returns the words
-    word-major, shape (words, rows)."""
-    rows, n = masks.shape
-    packed = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(masks, axis=1, bitorder="little")
-    return np.ascontiguousarray(packed.view(np.uint64).T)
+# Entries of the widest array of one block of the SOU kernel: its 0/1
+# containment block (rows x subsets) or its gathered table rows (rows x player
+# bytes x subset words). 2^17 gives 32-row blocks at n=64, d=4096, whose limb
+# matmul (2 limbs x 4096 subsets x 32 rows) OpenBLAS still runs on one
+# thread, and 1 024-row blocks at n=1024, d=32.
+_SOU_BLOCK_ENTRIES = 1 << 17
 
 
 def _exact_limbs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +119,7 @@ def _exact_limbs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exponents = exponents[mantissas != 0]
     # A double below 2^e in magnitude is a multiple of 2^(e - 53), and every
     # double is a multiple of 2^-1074.
-    low = max(int(exponents.min(initial=53)) - 53, -1074)
+    low = max(int(exponents.min()) - 53, -1074) if len(exponents) else 0
     top = int(exponents.max(initial=low))
     grid = low + width * np.arange(max(1, -(-(top - low) // width)))
     limbs = np.empty((len(grid), len(values)))
@@ -139,18 +132,29 @@ def _exact_limbs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _round_limb_sums(sums: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Correctly rounded ``sum_k sums[k, j] * scales[k]`` for each j, given exact
-    integer limb sums on the grid of :func:`_exact_limbs`, which starts at or
-    below 2^0. Two limbs hold parts below 2^105, which one addition rounds
-    correctly. Wider rows are summed exactly in units of the lowest limb and
-    rounded by one division, ±inf where that passes DBL_MAX."""
+    integer limb sums on the grid of :func:`_exact_limbs`. With two limbs, each
+    product is exact unless it overflows, and one addition rounds their sum
+    correctly; a non-finite result, and every row of a wider grid, is summed
+    exactly in units of the lowest limb and rounded once, ±inf where that
+    passes DBL_MAX."""
     if len(sums) <= 2:
-        return scales @ sums
+        # Limb sums are below 2^52 in magnitude, so with a top scale of at
+        # most 2^970 every row is below 2^1023.
+        if scales[-1] <= 2.0**970:
+            return scales @ sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = scales @ sums
+        exact_rows = np.flatnonzero(~np.isfinite(out))
+    else:
+        out = np.empty(sums.shape[1])
+        exact_rows = np.arange(sums.shape[1])
     exponents = [math.frexp(c)[1] - 1 for c in scales]  # scales[k] == 2^exponents[k]
-    out = np.empty(sums.shape[1])
-    for j, column in enumerate(sums.T.tolist()):
-        total = sum(int(s) << (e - exponents[0]) for s, e in zip(column, exponents))
+    low = exponents[0]
+    for j, column in zip(exact_rows.tolist(), sums[:, exact_rows].T.tolist()):
+        total = sum(int(s) << (e - low) for s, e in zip(column, exponents))
         try:
-            out[j] = total / (1 << -exponents[0])  # int true division rounds correctly
+            # int true division and int-to-float conversion round correctly.
+            out[j] = total / (1 << -low) if low < 0 else float(total << low)
         except OverflowError:
             out[j] = math.inf if total > 0 else -math.inf
     return out
@@ -167,53 +171,80 @@ class SOUGame(Game):
             raise ValueError("need one coefficient per subset")
         if len(subsets) == 0:
             raise ValueError("need at least one subset")
-        self.subsets = [np.array(sorted(set(a)), dtype=np.intp) for a in subsets]
-        for a, raw in zip(self.subsets, subsets):
-            if len(a) == 0:
+        sizes = np.array([len(a) for a in subsets])
+        # Indices out of range land in the extra column n. A subset with one
+        # there, or with fewer players than it lists (a duplicate), or none,
+        # is bad; the first bad subset names its fault as a loop over the
+        # subsets in order would.
+        players = np.concatenate(subsets).astype(np.intp, copy=False)
+        if players.min(initial=0) < 0 or players.max(initial=0) >= n:
+            players[(players < 0) | (players >= n)] = n
+        member = np.zeros((len(sizes), n + 1), dtype=bool)
+        member[np.repeat(np.arange(len(sizes)), sizes), players] = True
+        bad = (sizes == 0) | member[:, n] | (member.sum(axis=1) != sizes)
+        if bad.any():
+            raw = list(subsets[int(np.argmax(bad))])
+            if not raw:
                 raise ValueError("empty unanimity subset")
-            if len(a) != len(list(raw)):
+            if len(set(raw)) != len(raw):
                 raise ValueError("duplicate indices in unanimity subset")
-            if a[0] < 0 or a[-1] >= n:
-                raise ValueError("unanimity subset index out of range")
+            raise ValueError("unanimity subset index out of range")
+        # Each subset's players in increasing order, read off its row.
+        np.remainder(np.flatnonzero(member), n + 1, out=players)
+        self.subsets = np.split(players, np.cumsum(sizes)[:-1])
         self.coefficients = np.asarray(coefficients, dtype=float)
         if not np.isfinite(self.coefficients).all():
             raise ValueError("non-finite unanimity coefficient")
         # The kernel keeps the subsets sorted by size: _cut[p] counts those a
         # coalition of p players can contain, a prefix of that order.
-        sizes = np.array([len(a) for a in self.subsets])
         order = np.argsort(sizes, kind="stable")
-        member = np.zeros((len(self.subsets), n), dtype=bool)
-        for j, i in enumerate(order):
-            member[j, self.subsets[i]] = True
-        self._bits = _pack_masks(member)  # (words, subsets)
         self._cut = np.searchsorted(sizes[order], np.arange(n + 1), side="right")
         self._limbs, self._scales = _exact_limbs(self.coefficients[order])
-        self._block_rows = max(1, _SOU_CHUNK_ENTRIES // self._bits.size)
+        # _table[256 * b + v] is the bitset, over the sorted subsets, of those
+        # with a member among the players 8b..8b+7 that the bits of v mark:
+        # the table row of v is that of v without its lowest bit, or'ed with
+        # the subsets of the player at that bit.
+        player_bytes, words = -(-n // 8), -(-len(sizes) // 64)
+        by_player = np.zeros((8 * player_bytes, 8 * words), dtype=np.uint8)
+        by_player[:n, : -(-len(sizes) // 8)] = np.packbits(
+            member[order, :n].T, axis=1, bitorder="little")
+        by_player = by_player.view(np.uint64).reshape(player_bytes, 8, words)
+        table = np.zeros((player_bytes, 256, words), dtype=np.uint64)
+        for v in range(1, 256):
+            np.bitwise_or(table[:, v & (v - 1)], by_player[:, (v & -v).bit_length() - 1],
+                          out=table[:, v])
+        self._table = table.reshape(256 * player_bytes, words)
+        # The table row of the complement of byte v of a coalition.
+        self._hole_rows = 256 * np.arange(player_bytes) + 255
+        self._block_rows = max(1, _SOU_BLOCK_ENTRIES // max(len(sizes), player_bytes * words))
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        # A subset is contained when none of its bits falls in a hole of the
-        # coalition. Each row's limb sums are exact, so its value depends on
-        # neither its block nor its batch nor the BLAS. A batch of several
-        # blocks is ordered by popcount, and each block is tested only
-        # against the subsets no larger than its largest coalition.
-        rows = len(masks)
-        words = _pack_masks(masks)
+        # A subset is excluded when one of its members falls in a hole of the
+        # coalition: the or of the table rows of the coalition's hole bytes.
+        # The contained subsets are unpacked to a 0/1 block for the limb
+        # matmul. Each row's limb sums are exact, so its value depends on
+        # neither its block nor its batch nor the BLAS. Past one word of
+        # subsets, every batch is ordered by popcount and each block is
+        # tested only against the subsets no larger than its largest
+        # coalition; within one word that cut would save no work.
+        rows, d = len(masks), len(self.subsets)
+        holes = self._hole_rows - np.packbits(masks, axis=1, bitorder="little")
         sums = np.empty((len(self._scales), rows))
-        step = self._block_rows
         order = None
-        if rows > step:
+        if d > 64:
             counts = masks.sum(axis=1, dtype=np.int32)
             order = np.argsort(counts, kind="stable")
-            words, counts = words[:, order], counts[order]
-        holes = ~words
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            cut = len(self.subsets) if order is None else self._cut[counts[hi - 1]]
-            missing = self._bits[:, None, :cut] & holes[:, lo:hi, None]
-            # The reduction over one word would only copy it.
-            missing = np.bitwise_or.reduce(missing, axis=0) if len(missing) > 1 else missing[0]
-            contained = (missing == 0).astype(float)
-            np.matmul(self._limbs[:, :cut], contained.T, out=sums[:, lo:hi])
+            holes, counts = holes[order], counts[order]
+        for lo in range(0, rows, self._block_rows):
+            hi = min(lo + self._block_rows, rows)
+            cut = d if order is None else self._cut[counts[hi - 1]]
+            gathered = self._table[holes[lo:hi], : -(-cut // 64)]
+            # The reduction over one byte would only copy it.
+            excluded = (np.bitwise_or.reduce(gathered, axis=1) if gathered.shape[1] > 1
+                        else gathered[:, 0])
+            contained = np.unpackbits(
+                (~excluded).view(np.uint8), axis=1, count=cut, bitorder="little")
+            np.matmul(self._limbs[:, :cut], contained.T.astype(float), out=sums[:, lo:hi])
         values = _round_limb_sums(sums, self._scales)
         if order is None:
             return values
@@ -223,10 +254,15 @@ class SOUGame(Game):
 
     def exact_shapley_vector(self) -> np.ndarray:
         """Closed-form Shapley values: player i gets coefficient/|subset| from
-        every tracked subset that contains it."""
+        every tracked subset that contains it, added in subset order."""
+        sizes = np.array([len(a) for a in self.subsets])
+        shares = self.coefficients / sizes
         out = np.zeros(self.n)
-        for a, alpha in zip(self.subsets, self.coefficients):
-            out[a] += alpha / len(a)
+        # In blocks of subsets, which keeps the per-member arrays small.
+        for lo in range(0, len(sizes), 512):
+            block = slice(lo, lo + 512)
+            np.add.at(out, np.concatenate(self.subsets[block]),
+                      np.repeat(shares[block], sizes[block]))
         return out
 
 
@@ -237,15 +273,13 @@ def sou_generate(n: int, d: int, seed) -> SOUGame:
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
     rng = np.random.default_rng(seed)
-    subsets = []
-    coefs = []
+    subsets = [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+               for _ in range(d)]
+    # The weights are multiples of 1/4, so each sum is exact and the mean is
+    # rounded once, as numpy's mean of the member weights is.
     weights = (np.arange(n) % 4) / 4.0
-    for _ in range(d):
-        size = int(rng.integers(1, n + 1))
-        members = rng.choice(n, size=size, replace=False)
-        subsets.append(np.sort(members))
-        coefs.append(float(weights[members].mean()))
-    return SOUGame(n, subsets, coefs)
+    sums = np.fromiter((weights[a].sum() for a in subsets), float, d)
+    return SOUGame(n, subsets, sums / [len(a) for a in subsets])
 
 
 class SizeOnlyGame(Game):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -204,6 +205,31 @@ class TestSouGenerate:
         with pytest.raises(ValueError):
             sou_generate(5, 0, 0)
 
+    @pytest.mark.parametrize("args, digest", [
+        ((64, 4096, 13), "bf0bd4e3fe731825c9462acd11d5803a236b22ff6e9a0945ea925d32eb854f9b"),
+        ((1024, 32, 7), "c03684f0aba6a68a1d7a2ef1205ea89a6b79b18c5fe70c689f0384d188bc7875"),
+    ])
+    def test_games_are_pinned(self, args, digest):
+        # The subsets and the coefficient bits of the benchmark's game shapes
+        # are part of every result; their digests are pinned.
+        g = sou_generate(*args)
+        h = hashlib.sha256()
+        h.update(np.array([len(a) for a in g.subsets], dtype="<i8").tobytes())
+        h.update(np.concatenate(g.subsets).astype("<i8").tobytes())
+        h.update(g.coefficients.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
+
+    def test_construction_peak_memory(self):
+        # The in-place table build peaks at ~4.5 MiB here; one transposed
+        # copy of the 1 MiB table would pass the bound.
+        tracemalloc.start()
+        try:
+            sou_generate(64, 4096, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
 
 DBL_MAX = sys.float_info.max
 
@@ -250,15 +276,16 @@ def _random_masks(n, batch, rng):
 
 
 class TestSouKernel:
-    """The bit-packed, size-sorted, blocked kernel against ``math.fsum`` of the
+    """The byte-table, size-sorted, blocked kernel against ``math.fsum`` of the
     coefficients each row collects, bit for bit: its limb sums are exact, so
     neither the block, the batch, the row order nor the BLAS may change a
-    value."""
+    value. The shapes straddle the edges of a player byte (n = 7, 8, 9) and
+    of a subset word (d = 64, 65)."""
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 130])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 130])
     @pytest.mark.parametrize("batch", [0, 1, 255, 256, 257, 600])
     @settings(max_examples=4, deadline=None)
-    @given(d=st.sampled_from([1, 5, 40, 4096]),
+    @given(d=st.sampled_from([1, 5, 40, 64, 65, 4096]),
            coefficients=st.sampled_from(["uniform", "signed", "wide"]),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_references(self, n, batch, d, coefficients, seed):
@@ -272,7 +299,7 @@ class TestSouKernel:
     def test_wide_spread_over_blocks(self):
         rng = np.random.default_rng(4)
         g = _random_sou(64, 4096, rng, "wide")
-        masks = _random_masks(64, 300, rng)
+        masks = _random_masks(64, 400, rng)
         assert len(g._scales) >= 3 and len(masks) > 10 * g._block_rows
         assert np.array_equal(g._values(masks), _fsum_reference(g, masks))
 
@@ -292,20 +319,23 @@ class TestSouKernel:
             assert np.array_equal(g._values(masks), _fsum_reference(g, masks))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("coefs, overflowing", [
+    @pytest.mark.parametrize("coefs, overflowing, limbs", [
         # Only {0, 1}, with or without the tiny 3, sums past DBL_MAX. With 2,
         # its top limb part overflows on the way to 2^1024 - 2^972.
-        ([2.0**1023, 2.0**1023, -(2.0**972), 2.0**-1000], [{0, 1}, {0, 1, 3}]),
+        pytest.param([2.0**1023, 2.0**1023, -(2.0**972), 2.0**-1000], [{0, 1}, {0, 1, 3}],
+                     42, id="coefs0-overflowing0"),
         # {0, 1, 2, 3} is 2^1024 - 7 * 2^972, below DBL_MAX; {0, 1} with one
-        # of 2 and 3 is not.
-        ([2.0**1023, 2.0**1023 + 2.0**977, -(2.0**976 + 7 * 2.0**971),
-          -(2.0**976 + 7 * 2.0**971)], [{0, 1}, {0, 1, 2}, {0, 1, 3}]),
+        # of 2 and 3 is not. Two limbs: their sum overflows in every row that
+        # holds 0 and 1, and the finite one takes the exact path.
+        pytest.param([2.0**1023, 2.0**1023 + 2.0**977, -(2.0**976 + 7 * 2.0**971),
+                      -(2.0**976 + 7 * 2.0**971)], [{0, 1}, {0, 1, 2}, {0, 1, 3}],
+                     2, id="coefs1-overflowing1"),
     ])
-    def test_overflowing_row_leaves_others_alone(self, sign, coefs, overflowing):
+    def test_overflowing_row_leaves_others_alone(self, sign, coefs, overflowing, limbs):
         coefs = [sign * c for c in coefs]
         g = SOUGame(4, [[j] for j in range(4)], coefs)
         masks = np.array(list(itertools.product([False, True], repeat=4)))
-        assert len(g._scales) > 2
+        assert len(g._scales) == limbs
         got = g.evaluate_masks(masks)
         overflows = np.array([set(np.flatnonzero(m)) in overflowing for m in masks])
         assert np.array_equal(got[overflows], [sign * math.inf] * len(overflowing))
@@ -315,13 +345,36 @@ class TestSouKernel:
             # Smallest first, no partial sum of math.fsum passes DBL_MAX.
             assert value == math.fsum(sorted(row, key=abs))
 
-    def test_two_limbs_stay_below_overflow(self):
-        # The grid starts at or below 2^0, so a game with two limbs or fewer
-        # sums parts below 2^105 in one addition, which cannot overflow.
-        for e in range(-1074, 1024, 3):
-            for coefs in ([2.0**e], [2.0**e, -3.0], [2.0**e, 2.0**-1074]):
-                limbs, scales = _exact_limbs(np.array(coefs))
-                assert len(scales) > 2 or scales[-1] <= 2.0**52
+    def test_two_limb_rows_past_overflow_take_the_exact_sum(self):
+        # Two limbs near DBL_MAX: a row whose top limb part reaches 2^1024
+        # while its low part brings it back below DBL_MAX must not come out
+        # as inf. Every row is checked against the exact rational sum.
+        rng = np.random.default_rng(3)
+        tops = [[2.0**1023, 2.0**1023 + 2.0**992, -(2.0**992 + 2.0**980)]]
+        tops += [list(rng.choice([-1.0, 1.0], 4) * (1 + rng.random(4)) * 2.0**1022
+                      * 2.0 ** -rng.integers(0, 40, 4)) for _ in range(20)]
+        masks = np.array(list(itertools.product([False, True], repeat=4)))
+        for coefs in tops:
+            g = SOUGame(len(coefs), [[j] for j in range(len(coefs))], coefs)
+            assert len(g._scales) == 2
+            rows = masks[:, : len(coefs)]
+            for mask, value in zip(rows, g.evaluate_masks(rows)):
+                exact = sum(Fraction(c) for c, inside in zip(coefs, mask) if inside)
+                try:
+                    expected = float(exact)
+                except OverflowError:
+                    expected = math.inf if exact > 0 else -math.inf
+                assert value == expected, (coefs, mask)
+        # The first set's full coalition, 2^1024 - 2^980, is such a row.
+        full = SOUGame(3, [[0], [1], [2]], tops[0]).evaluate([0, 1, 2])
+        assert full == float(2**1024 - 2**980)
+
+    def test_grid_starts_at_the_lowest_coefficient(self):
+        # Large coefficients need no more limbs than small ones.
+        for e in (-500, 500):
+            limbs, scales = _exact_limbs(np.array([2.0**e, 3 * 2.0**e]))
+            assert len(scales) <= 2
+            assert np.array_equal(limbs.T @ scales, [2.0**e, 3 * 2.0**e])
 
     def test_benchmark_games_take_the_two_limb_step(self):
         # Nonzero sou_generate coefficients are means of (i mod 4)/4, within
@@ -337,8 +390,8 @@ class TestSouKernel:
         # its many ties by position, and no value may depend on that.
         rng = np.random.default_rng(seed)
         g = _random_sou(64, 4096, rng, "signed")
-        sizes = rng.choice([2, 3, 40, 63], size=200)
-        masks = rng.random((200, 64)).argsort(axis=1) < sizes[:, None]
+        sizes = rng.choice([2, 3, 40, 63], size=400)
+        masks = rng.random((400, 64)).argsort(axis=1) < sizes[:, None]
         assert len(masks) > 10 * g._block_rows
         got = g.evaluate_masks(masks)
         perm = rng.permutation(len(masks))
