@@ -41,6 +41,12 @@ def group_sum(estimate: SvEstimate, members) -> float:
     return float(estimate.values[members].sum())
 
 
+def _parse_groups(groups, n: int):
+    """Each group's sorted unique members, parsed as :func:`group_sum` parses
+    them, so a bad index fails before any evaluation is spent."""
+    return None if groups is None else [_member_indices(g, n) for g in groups]
+
+
 class _Schedule(NamedTuple):
     """What one run spends: ``fixed`` evaluations before any draw, then
     ``draws`` draws of ``cost`` evaluations each, ``batch`` draws at a time."""
@@ -139,6 +145,7 @@ def permutation_estimator(
     ordering is truncated so exactly ``budget`` evaluations are spent."""
     n = game.n
     schedule = _schedule("permutation", n, budget, checkpoint_interval)
+    groups = _parse_groups(groups, n)
     sums = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
 
@@ -165,6 +172,7 @@ def group_testing_estimator(
     differences between each player's utility column sum and the dummy's."""
     n = game.n
     schedule = _schedule("group_testing", n, budget, checkpoint_interval)
+    groups = _parse_groups(groups, n)
     sizes_support = np.arange(1, n + 1)
     q = 1.0 / sizes_support + 1.0 / (n - sizes_support + 1)
     Z = float(q.sum())
@@ -199,6 +207,7 @@ def complement_contribution_estimator(
     Strata never hit contribute zero (logged)."""
     n = game.n
     schedule = _schedule("complement_contribution", n, budget, checkpoint_interval)
+    groups = _parse_groups(groups, n)
     sums = np.zeros((n, n + 1))
     counts = np.zeros((n, n + 1), dtype=np.int64)
 
@@ -229,6 +238,7 @@ def one_for_all_estimator(
     feeding all players' in/out stratum means."""
     n = game.n
     schedule = _schedule("one_for_all", n, budget, checkpoint_interval)
+    groups = _parse_groups(groups, n)
 
     det_masks = np.zeros((2 * n + 2, n), dtype=bool)
     det_masks[1] = True  # full set
@@ -317,6 +327,7 @@ def _weighted_ls_estimator(
     """Shared engine for the three regression-based estimators."""
     n = game.n
     schedule = _schedule(method, n, budget, checkpoint_interval)
+    groups = _parse_groups(groups, n)
     u_full = game.evaluate(range(n))
     u_empty = game.evaluate([])
     total = u_full - u_empty

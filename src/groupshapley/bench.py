@@ -432,15 +432,15 @@ def _fmt(x) -> str:
 def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     """Runs the full grid and writes results.csv and summary.csv in out_dir.
 
-    The game is built once and every cell evaluates it; each run counts the
-    rows its own plan sends. With ``threads`` > 1 the (replication, method)
-    cells run in up to ``threads`` worker processes forked from this one,
-    which share the game without copying it. Each of N workers sets every
-    loaded OpenBLAS to ``max(1, cores // N)`` threads, cores being those this
-    process may run on; this process keeps its own BLAS setting, and other
-    BLAS libraries are left alone. The first cell to raise cancels
-    the cells not yet started, and its error is raised here after every
-    worker has exited. Rows appear in (replication, method, group) order
+    The game is built once and every cell evaluates it; each cell's
+    ``evaluations_used`` is read off its run's plan or schedule. With
+    ``threads`` > 1 the (replication, method) cells run in up to ``threads``
+    worker processes forked from this one, which share the game without
+    copying it. Each of N workers sets every loaded OpenBLAS to
+    ``max(1, cores // N)`` threads, cores being those this process may run
+    on; this process keeps its own BLAS setting, and other BLAS libraries are
+    left alone. The first cell to raise cancels the cells not yet started,
+    and its error is raised here after every worker has exited. Rows appear in (replication, method, group) order
     regardless of the worker count; group ids are 1-based in the output.
     """
     cells = [

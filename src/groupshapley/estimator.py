@@ -203,8 +203,9 @@ def _run_plan(
     pair_game: Game,
 ) -> GroupValueEstimate:
     """Runs the size plan: the efficiency endpoints and the grid cells on
-    ``game``, the paired differences on ``pair_game``. The run counts the
-    rows it sends, so other users of either game do not change its count."""
+    ``game``, the paired differences on ``pair_game``. ``evaluations_used``
+    is read off the plan, the rows of each cell it runs, so it does not
+    depend on who else evaluates either game."""
     n = game.n
     config.validate(n)
     members = _member_indices(members, n)

@@ -228,6 +228,8 @@ _SHAPLEY_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def fgsv_valuation(game: Game, partition: Partition, k: int) -> float:
     """Faithful group valuation: sum of members' exact Shapley values. The
     2^n table is built once per game, not once per (partition, group)."""
+    if not (0 <= k < len(partition.groups)):
+        raise ValueError(f"group index {k} out of range")
     if game not in _SHAPLEY_TABLES:
         _SHAPLEY_TABLES[game] = exact_shapley_values(game)
     return float(_SHAPLEY_TABLES[game][list(partition.groups[k])].sum())

@@ -1,8 +1,9 @@
 """Cooperative games: the utility-function abstraction and concrete game types.
 
-A game evaluates a real-valued utility on any index subset of {0..n-1} and
-counts every evaluation; budget experiments rely on that counter being honest,
-so no game caches utilities.
+A game evaluates a real-valued utility on any index subset of {0..n-1}. It
+holds only its definition, no per-run state: each run reads the evaluations it
+used off its own plan or schedule. Budget experiments compare runs at equal
+counts, so no game caches utilities and every counted evaluation is computed.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,35 +23,26 @@ class UnsupportedGameError(TypeError):
 
 
 class Game:
-    """Base class: pure utility over index subsets plus an evaluation counter.
+    """Base class: pure utility over index subsets.
 
     Subclasses implement ``_values(masks)``, the utility of each row of a
     boolean (batch, n) membership matrix. A single evaluation is a one-row
     batch. What a game precomputes, such as the SOU lookup tables, is
     immutable data derived from its definition, built before any evaluation;
     it holds no utility of any coalition, so it is no utility cache.
+    Evaluating a game changes nothing in it (the null-augmented wrapper's RNG
+    aside), so threads and forked processes may share one; a run reports
+    ``evaluations_used`` read off its own plan or schedule.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("player count must be positive")
         self._n = int(n)
-        self._evals = 0
-        self._lock = threading.Lock()
 
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def eval_counter(self) -> int:
-        """Evaluations of this game by all callers so far; the lock keeps the
-        count exact when threads share the game."""
-        return self._evals
-
-    def _count(self, k: int) -> None:
-        with self._lock:
-            self._evals += k
 
     def mask_from_indices(self, S: Iterable[int]) -> np.ndarray:
         idx = list(S)
@@ -66,16 +57,12 @@ class Game:
         return mask
 
     def evaluate(self, S: Iterable[int]) -> float:
-        return self._evaluate_one(self.mask_from_indices(S))
+        return float(self._values(self.mask_from_indices(S)[None, :])[0])
 
     def evaluate_mask(self, mask: np.ndarray) -> float:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self._n,):
             raise ValueError(f"mask must have shape ({self._n},), got {mask.shape}")
-        return self._evaluate_one(mask)
-
-    def _evaluate_one(self, mask: np.ndarray) -> float:
-        self._count(1)
         return float(self._values(mask[None, :])[0])
 
     def evaluate_masks(self, masks: np.ndarray) -> np.ndarray:
@@ -84,7 +71,6 @@ class Game:
             raise ValueError(
                 f"masks must have shape (batch, {self._n}), got {masks.shape}"
             )
-        self._count(len(masks))
         return self._values(masks)
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
@@ -350,6 +336,12 @@ class RegressionGame(Game):
             raise ValueError(f"ridge penalty must be a finite number >= 0, got {lam!r}")
         if X_train.ndim != 2 or self.X_test.ndim != 2:
             raise ValueError("predictor matrices must be 2-D")
+        if y_train.shape != X_train.shape[:1] or self.y_test.shape != self.X_test.shape[:1]:
+            raise ValueError("need one response per predictor row, in train and in test")
+        if X_train.shape[1] != self.X_test.shape[1]:
+            raise ValueError("train and test predictor matrices differ in column count")
+        if not all(np.isfinite(a).all() for a in (X_train, y_train, self.X_test, self.y_test)):
+            raise ValueError("non-finite regression data")
         super().__init__(X_train.shape[0])
         self.X_train = X_train
         self.y_train = y_train
@@ -427,9 +419,9 @@ class NullAugmentedGame(Game):
     the target size; coalitions at or above the threshold pass through.
 
     The fresh draws make the wrapped game stochastic: the purity guarantee of
-    the base class is deliberately waived here. A padded evaluation is one
-    evaluation of the base utility, so the wrapper counts on the base's
-    counter.
+    the base class is deliberately waived here, and ``rng`` advances with
+    every padded evaluation. A padded evaluation is one evaluation of the
+    base utility.
     """
 
     def __init__(self, base: Game, threshold: int, null_sampler=None, rng=None):
@@ -445,13 +437,6 @@ class NullAugmentedGame(Game):
         self.threshold = int(threshold)
         self.null_sampler = null_sampler
         self.rng = rng if rng is not None else np.random.default_rng()
-
-    @property
-    def eval_counter(self) -> int:
-        return self.base.eval_counter
-
-    def _count(self, k: int) -> None:
-        self.base._count(k)
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         # Rows at or above the threshold go to the base kernel as one batch.

@@ -48,12 +48,12 @@ class TestPermutation:
         est = permutation_estimator(g, 7, np.random.default_rng(0))
         assert est.evaluations_used == 7
 
-    def test_truncation_spends_exact_budget(self):
+    def test_truncation_spends_exact_budget(self, kernel_rows):
         g = sou_generate(6, 10, 1)
-        before = g.eval_counter
+        counted = kernel_rows(g)
         est = permutation_estimator(g, 25, np.random.default_rng(0))
         assert est.evaluations_used == 25
-        assert g.eval_counter - before == 25
+        assert counted.rows == 25
 
     def test_budget_too_small(self):
         g = sou_generate(6, 10, 1)
@@ -370,14 +370,15 @@ class TestBudgetHonesty:
     @given(n=st.integers(2, 12), name=st.sampled_from(sorted(BASELINE_ESTIMATORS)),
            extra=st.integers(0, 400), interval=st.none() | st.integers(1, 50),
            k=st.none() | st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    def test_random_configs(self, n, name, extra, interval, k, seed):
+    def test_random_configs(self, n, name, extra, interval, k, seed, kernel_rows):
         g = sou_generate(n, n, seed)
+        counted = kernel_rows(g)
         budget = min_baseline_budget(name, n) + extra
         groups = None if k is None else [list(range(i, n, k)) for i in range(min(k, n))]
         est = BASELINE_ESTIMATORS[name](g, budget, np.random.default_rng(seed),
                                         groups=groups, checkpoint_interval=interval)
         used = est.evaluations_used
-        assert used == predicted_baseline_evaluations(name, n, budget) == g.eval_counter
+        assert used == predicted_baseline_evaluations(name, n, budget) == counted.rows
         assert used <= budget
         if interval is None or groups is None:
             assert est.curves is None
@@ -401,21 +402,36 @@ class TestCheckpointInterval:
     @pytest.mark.parametrize("grouped", [False, True])
     @pytest.mark.parametrize("interval", [0, -5])
     @pytest.mark.parametrize("name", sorted(BASELINE_ESTIMATORS))
-    def test_interval_below_one(self, name, interval, grouped):
+    def test_interval_below_one(self, name, interval, grouped, kernel_rows):
         g = sou_generate(6, 10, 1)
+        counted = kernel_rows(g)
         groups = [[0, 1, 2], [3, 4, 5]] if grouped else None
         with pytest.raises(ValueError, match="checkpoint interval must be >= 1"):
             BASELINE_ESTIMATORS[name](g, 100, np.random.default_rng(0),
                                       groups=groups, checkpoint_interval=interval)
-        assert g.eval_counter == 0
+        assert counted.rows == 0
+
+
+class TestGroups:
+    @pytest.mark.parametrize("bad", [[-1], [6]], ids=["negative", "too_large"])
+    @pytest.mark.parametrize("name", sorted(BASELINE_ESTIMATORS))
+    def test_bad_group_rejected_before_evaluating(self, name, bad, kernel_rows):
+        # Parsed as group_sum parses a group, before any evaluation.
+        g = sou_generate(6, 10, 1)
+        counted = kernel_rows(g)
+        with pytest.raises(ValueError, match="out of range"):
+            BASELINE_ESTIMATORS[name](g, 100, np.random.default_rng(0),
+                                      groups=[[0, 1], bad], checkpoint_interval=10)
+        assert counted.rows == 0
 
 
 class TestOnePlayer:
     """At n = 1 the methods that need two players refuse to run."""
 
     @pytest.mark.parametrize("name", sorted(BASELINE_ESTIMATORS))
-    def test_one_player(self, name):
+    def test_one_player(self, name, kernel_rows):
         g = SizeOnlyGame(1, SIZE_UTILITIES["linear"])
+        counted = kernel_rows(g)
         fn = BASELINE_ESTIMATORS[name]
         if name in ("permutation", "group_testing", "complement_contribution"):
             est = fn(g, 20, np.random.default_rng(0))
@@ -427,7 +443,7 @@ class TestOnePlayer:
             fn(g, 20, np.random.default_rng(0))
         with pytest.raises(ValueError, match="n >= 2"):
             min_baseline_budget(name, 1)
-        assert g.eval_counter == 0
+        assert counted.rows == 0
 
 
 class TestDeterminismAndCurves:

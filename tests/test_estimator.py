@@ -100,15 +100,15 @@ class TestGapEstimate:
         se = float(np.std(samples, ddof=1)) / math.sqrt(len(samples))
         assert abs(mean - target) <= 4 * se
 
-    def test_consumes_two_evals_per_sample(self):
+    def test_consumes_two_evals_per_sample(self, kernel_rows):
         g = sou_generate(8, 10, 0)
-        before = g.eval_counter
+        counted = kernel_rows(g)
         estimate_mean_utility_gap(g, [0, 1], 3, 1, 25, np.random.default_rng(0))
-        assert g.eval_counter - before == 50
+        assert counted.rows == 50
 
 
 class TestEstimateGroupValue:
-    def test_exhaustive_threshold_equals_exact(self):
+    def test_exhaustive_threshold_equals_exact(self, kernel_rows):
         rng = np.random.default_rng(55)
         for _ in range(5):
             n = int(rng.integers(5, 9))
@@ -119,9 +119,9 @@ class TestEstimateGroupValue:
                 size_threshold=n, grid_samples=10**9, pair_samples=1,
                 exhaustive_small_sizes=True,
             )
-            before = g.eval_counter
+            counted = kernel_rows(g)
             est = estimate_group_value(g, members, cfg, rng=rng)
-            assert est.evaluations_used == g.eval_counter - before
+            assert est.evaluations_used == counted.rows
             assert est.value == pytest.approx(
                 exact_faithful_group_shapley(g, members), abs=1e-9
             )
@@ -158,7 +158,7 @@ class TestEstimateGroupValue:
         assert est.value == 0.0
         assert est.evaluations_used == 0
 
-    def test_budget_formula_exact(self):
+    def test_budget_formula_exact(self, kernel_rows):
         rng = np.random.default_rng(88)
         for _ in range(10):
             n = int(rng.integers(4, 14))
@@ -170,13 +170,13 @@ class TestEstimateGroupValue:
                 grid_samples=int(rng.integers(1, 9)),
                 pair_samples=int(rng.integers(1, 9)),
             )
-            before = g.eval_counter
+            counted = kernel_rows(g)
             est = estimate_group_value(g, members, cfg, rng=rng)
-            used = g.eval_counter - before
+            used = counted.rows
             assert est.evaluations_used == used
             assert used == predicted_evaluations(n, s0, cfg)
 
-    def test_budget_formula_exact_when_exhaustive(self):
+    def test_budget_formula_exact_when_exhaustive(self, kernel_rows):
         # An enumerated family spends its size, not grid_samples, and the
         # plan predicts that too: the first three configs spend 380, 346 and
         # 65 536 evaluations, not 482, 1 210 and 63 000 002.
@@ -193,10 +193,10 @@ class TestEstimateGroupValue:
             game = g if n == 16 else sou_generate(n, n, int(rng.integers(10**6)))
             cfg = EstimatorConfig(size_threshold=threshold, grid_samples=grid,
                                   pair_samples=8, exhaustive_small_sizes=True)
-            before = game.eval_counter
+            counted = kernel_rows(game)
             est = estimate_group_value(game, members, cfg, rng=rng)
             assert est.evaluations_used == predicted_evaluations(n, len(members), cfg) \
-                == game.eval_counter - before
+                == counted.rows
 
     def test_determinism(self):
         g1 = sou_generate(9, 18, 6)
@@ -338,14 +338,15 @@ class TestAugmentedEstimator:
         assert est.value == pytest.approx((4 / 10) * (ubar(10) - ubar(0)),
                                           abs=1e-12)
 
-    def test_evaluations_follow_all_paired_plan(self):
+    def test_evaluations_follow_all_paired_plan(self, kernel_rows):
         g = SizeOnlyGame(10, SIZE_UTILITIES["cubic"])
+        counted = kernel_rows(g)
         est = estimate_group_value_augmented(
             g, [0, 1, 2], B=4, samples=7, null_sampler=None,
             rng=np.random.default_rng(0),
         )
         plan = EstimatorConfig(size_threshold=1, grid_samples=1, pair_samples=7)
-        assert est.evaluations_used == g.eval_counter
+        assert est.evaluations_used == counted.rows
         assert est.evaluations_used == predicted_evaluations(10, 3, plan)
 
     def test_b_one_matches_unaugmented_distribution(self):

@@ -89,11 +89,11 @@ class TestExactSv:
         with pytest.raises(ValueError, match="cap"):
             exact_shapley_values(g)
 
-    def test_evaluation_count_is_2_to_n(self):
+    def test_evaluation_count_is_2_to_n(self, kernel_rows):
         g = sou_generate(6, 10, 1)
-        before = g.eval_counter
+        counted = kernel_rows(g)
         exact_shapley_values(g)
-        assert g.eval_counter - before == 64
+        assert counted.rows == 64
 
     def test_scale_equivariance(self):
         g = sou_generate(6, 10, 2)
@@ -169,6 +169,12 @@ class TestExactFgsv:
             assert exact_faithful_group_shapley(g, pair) == pytest.approx(
                 7 / 12, abs=1e-12
             )
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_valuation_index_out_of_range(self, k):
+        g = sou_generate(8, 10, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            fgsv_valuation(g, mod_partition(8, 2), k)
 
 
 class TestExactMu:
@@ -403,13 +409,16 @@ class TestAxioms:
         report = check_axioms(gsv_valuation, g, [mod_partition(6, 3)])
         assert report.results["efficiency"].passed
 
-    def test_one_shapley_table_per_game(self):
-        # The base game pays one 2^16 table plus the two efficiency
-        # endpoints; the witness games evaluate the base through its kernel.
+    def test_one_shapley_table_per_game(self, kernel_rows):
+        # Each game valued pays one 2^16 table, whatever the partitions and
+        # groups: the base game, the null, symmetric and reversed witnesses,
+        # which evaluate it through its kernel, and their combination, which
+        # does so twice. The base also pays the two efficiency endpoints.
         g = sou_generate(16, 200, 3)
+        counted = kernel_rows(g)
         parts = [mod_partition(16, 4), mod_partition(16, 2)]
         check_axioms(fgsv_valuation, g, parts)
-        assert g.eval_counter == 2**16 + 2
+        assert counted.rows == 6 * 2**16 + 2
 
     def test_empty_partition_list(self):
         g = sou_generate(4, 4, 0)

@@ -76,6 +76,31 @@ def _every_game(n):
     return games
 
 
+def _snapshot(value):
+    """A copy of ``value`` that later changes to it do not reach: arrays are
+    copied and containers rebuilt; other values are kept as they are."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, dict):
+        return {k: _snapshot(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_snapshot(v) for v in value)
+    return value
+
+
+def _same_state(a, b) -> bool:
+    """Same keys, equal arrays (dtype included) and equal or identical
+    other values, compared through dicts, lists and tuples."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same_state(a[k], b[k]) for k in a))
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_state, a, b))
+    return a is b or a == b
+
+
 class TestEvaluate:
     def test_size_only(self):
         g = SizeOnlyGame(4, lambda s: float(s))
@@ -101,13 +126,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             g.evaluate([1, 1])
 
-    def test_counter_exactness(self):
+    def test_counter_exactness(self, kernel_rows):
+        # A single evaluation reaches the kernel as one row, a batch as its rows.
         g = SOUGame(3, [[0, 1]], [1.0])
+        counted = kernel_rows(g)
         for k in range(1, 6):
             g.evaluate([0])
-            assert g.eval_counter == k
+            assert counted.rows == k
         g.evaluate_masks(np.zeros((7, 3), dtype=bool))
-        assert g.eval_counter == 12
+        assert counted.rows == 12
 
     def test_purity(self):
         g = sou_generate(6, 15, 42)
@@ -115,19 +142,32 @@ class TestEvaluate:
         b = g.evaluate([0, 3, 5])
         assert a == b
 
+    def test_evaluation_leaves_game_unchanged(self):
+        # A game holds only its definition. The null-augmented game is left
+        # out: its rng advances with every padded row by design.
+        masks = _random_masks(6, 40, np.random.default_rng(4))
+        for name, (g, _) in _every_game(6).items():
+            if name == "null_augmented":
+                continue
+            before = _snapshot(vars(g))
+            g.evaluate_masks(masks)
+            assert _same_state(before, vars(g)), name
+
     @pytest.mark.parametrize("shape", [(5,), (9,), (1, 9), (3, 4), (2, 3, 5), ()])
-    def test_mask_shape_rejected_before_counting(self, shape):
+    def test_mask_shape_rejected_before_counting(self, shape, kernel_rows):
         for name, (g, _) in _every_game(5).items():
+            counted = kernel_rows(g)
             with pytest.raises(ValueError, match="shape"):
                 g.evaluate_masks(np.ones(shape, dtype=bool))
-            assert g.eval_counter == 0, name
+            assert counted.rows == 0, name
 
     @pytest.mark.parametrize("shape", [(9,), (4,), (1, 5), ()])
-    def test_single_mask_shape_rejected_before_counting(self, shape):
+    def test_single_mask_shape_rejected_before_counting(self, shape, kernel_rows):
         for name, (g, _) in _every_game(5).items():
+            counted = kernel_rows(g)
             with pytest.raises(ValueError, match="shape"):
                 g.evaluate_mask(np.ones(shape, dtype=bool))
-            assert g.eval_counter == 0, name
+            assert counted.rows == 0, name
 
     @settings(max_examples=25, deadline=None)
     @given(batch=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
@@ -424,12 +464,11 @@ class TestSouKernel:
 
 
 class TestSharedGame:
-    """Concurrent runs share one game: its counter is the running total of
-    all of them, and each run counts the rows its own plan sends."""
+    """Concurrent runs share one game, which holds no per-run state: each run
+    reports the rows its own plan sends."""
 
-    def test_threads_count_exactly(self):
-        # 8 threads on one game, with frequent thread switches: the counter
-        # must count every evaluation of every thread.
+    def test_threads_see_the_same_values(self):
+        # 8 threads on one game, with frequent thread switches.
         g = sou_generate(70, 200, 8)
         masks = np.random.default_rng(1).random((5, 70)) < 0.7
         want = g._values(masks)
@@ -452,9 +491,8 @@ class TestSharedGame:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert g.eval_counter == 8 * rounds * len(masks)
 
-    def test_estimate_unaffected_by_concurrent_evaluations(self):
+    def test_estimate_unaffected_by_concurrent_evaluations(self, kernel_rows):
         g = sou_generate(12, 40, 3)
         members = [0, 4, 5, 9]
         cfg = EstimatorConfig(size_threshold=4, grid_samples=6, pair_samples=6,
@@ -462,7 +500,7 @@ class TestSharedGame:
         alone = estimate_group_value(g, members, cfg, rng=np.random.default_rng(2))
 
         # Before each batch of the run, another thread evaluates the same game
-        # once, so the game's counter moves between every two batches.
+        # once, so other rows reach its kernel between every two batches.
         masks = np.random.default_rng(3).random((3, 12)) < 0.5
         kernel, turn, back = g._values, threading.Semaphore(0), threading.Semaphore(0)
         results, other = [], []
@@ -484,9 +522,9 @@ class TestSharedGame:
                 back.release()
 
         g._values = values
+        counted = kernel_rows(g)
         runner = threading.Thread(target=run)
         helper = threading.Thread(target=evaluate_between_batches)
-        before = g.eval_counter
         helper.start()
         runner.start()
         runner.join(timeout=60)
@@ -502,7 +540,7 @@ class TestSharedGame:
         assert [c[:2] for c in shared.curve.checkpoints] == \
             [c[:2] for c in alone.curve.checkpoints]
         assert shared.evaluations_used == predicted_evaluations(12, 4, cfg)
-        assert g.eval_counter - before == shared.evaluations_used + sum(other)
+        assert counted.rows == shared.evaluations_used + sum(other)
 
 
 class TestSouClosedForm:
@@ -564,12 +602,16 @@ class TestAugmentation:
         wrapped = augment_with_null(g, 7, rng=np.random.default_rng(0))
         assert wrapped.evaluate([0, 1, 2, 3]) == 7.0
 
-    def test_counts_on_base_counter(self):
+    def test_counts_on_base_counter(self, kernel_rows):
+        # Padded and pass-through rows each reach the base kernel once.
         g = SizeOnlyGame(6, lambda s: float(s))
+        counted = kernel_rows(g)
         wrapped = augment_with_null(g, 3, rng=np.random.default_rng(0))
         wrapped.evaluate([0])
-        wrapped.evaluate_masks(np.zeros((4, 6), dtype=bool))
-        assert g.eval_counter == wrapped.eval_counter == 5
+        masks = np.zeros((4, 6), dtype=bool)
+        masks[0] = True
+        wrapped.evaluate_masks(masks)
+        assert counted.rows == 5
 
     def test_regression_null_sampler_pads_rows(self):
         game = _toy_regression()
@@ -580,10 +622,11 @@ class TestAugmentation:
                                        np.concatenate([game.y_train[[4]], yn]))
         assert wrapped.evaluate([4]) == expected
 
-    def test_batch_matches_row_by_row_draws(self):
+    def test_batch_matches_row_by_row_draws(self, kernel_rows):
         # Pass-through rows are scored as one batch; padded rows must still
         # take their null draws from the RNG in row order.
         game = _toy_regression()
+        counted = kernel_rows(game)
         masks = _random_masks(20, 60, np.random.default_rng(2))
         masks[1:30:3] = False
         masks[1:30:3, :2] = True  # 2 rows, padded up to 4
@@ -595,7 +638,7 @@ class TestAugmentation:
         assert padded.sum() >= 10
         assert np.array_equal(got[padded], np.array(want)[padded])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-        assert game.eval_counter == 2 * len(masks)
+        assert counted.rows == 2 * len(masks)
 
     def test_regression_empty_set_self_consistent(self):
         game = _toy_regression()
@@ -642,6 +685,30 @@ class TestRegressionGame:
                 RegressionGame(np.zeros((4, 2)), np.zeros(4), np.zeros((3, 2)),
                                np.zeros(3), lam=lam)
 
+    @pytest.mark.parametrize("which", ["X_train", "y_train", "X_test", "y_test"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected(self, which, bad):
+        data = {"X_train": np.zeros((4, 2)), "y_train": np.zeros(4),
+                "X_test": np.zeros((3, 2)), "y_test": np.zeros(3)}
+        data[which].flat[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            RegressionGame(**data)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_row_counts_must_match(self, split):
+        # A length-1 response would otherwise broadcast over every row.
+        y_train, y_test = np.zeros(4), np.zeros(3)
+        if split == "train":
+            y_train = y_train[:1]
+        else:
+            y_test = y_test[:1]
+        with pytest.raises(ValueError, match="one response per predictor row"):
+            RegressionGame(np.zeros((4, 2)), y_train, np.zeros((3, 2)), y_test)
+
+    def test_column_counts_must_match(self):
+        with pytest.raises(ValueError, match="column count"):
+            RegressionGame(np.zeros((4, 2)), np.zeros(4), np.zeros((3, 3)), np.zeros(3))
+
 
 def _row_by_row(game, masks):
     """The per-row reference: one ``_fit_and_score`` per mask, the null
@@ -684,15 +751,16 @@ class TestRegressionKernel:
         assert np.array_equal(got[small], np.full(small.sum(), game.null_utility))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
-    def test_single_mask_routes_through_kernel(self):
+    def test_single_mask_routes_through_kernel(self, kernel_rows):
         g = _toy_regression()
+        counted = kernel_rows(g)
         masks = np.zeros((3, 20), dtype=bool)
         masks[1, :2] = True
         masks[2, :] = True
         got = [g.evaluate_mask(m) for m in masks]
         assert got[:2] == [g.null_utility] * 2
         assert got[2] == pytest.approx(_row_by_row(g, masks[2:])[0], rel=1e-12)
-        assert g.eval_counter == 3
+        assert counted.rows == 3
 
     def test_singular_grams_use_lstsq(self):
         # lam = 0 and rows that repeat a few axis-aligned vectors: a coalition
