@@ -58,7 +58,6 @@ from .exact import (
     exact_size_term,
     faithful_group_shapley_by_sizes,
     fgsv_valuation,
-    gsv_valuation,
     mod_partition,
     size_profile_term,
     utility_table,
@@ -66,12 +65,12 @@ from .exact import (
 from .games import (
     Game,
     IntersectionSizeGame,
+    NullAugmentedGame,
     RegressionGame,
     SIZE_UTILITIES,
     SOUGame,
     SizeOnlyGame,
     UnsupportedGameError,
-    augment_with_null,
     game_from_config,
     load_regression_csv,
     sou_generate,

@@ -20,7 +20,7 @@ from .exact import (
     _all_masks,
     _shapley_weights,
     exact_group_shapley,
-    exact_shapley_values,
+    fgsv_valuation,
 )
 from .games import Game
 
@@ -144,23 +144,16 @@ def _valuations_size_only(ubar, sizes, n):
     return gsv, fgsv
 
 
-def _valuations_game(game, sv, partition):
-    """Exact group values; ``sv`` is the game's Shapley vector, which serves
-    every partition since individual values do not depend on it."""
-    gsv = [exact_group_shapley(game, partition, k) for k in range(len(partition))]
-    fgsv = [float(sv[list(g)].sum()) for g in partition.groups]
-    return gsv, fgsv
-
-
 def run_attack(source, base_partition: Partition, schedules) -> AttackReport:
     """Evaluates every schedule against the unsplit baseline.
 
     ``source`` is either a callable utility-of-size curve or a Game (exact
-    oracles, capped at n <= 16). Each report row carries the group value under
-    both valuations; the attacker's row sums its shells. The report records
-    whether the attacker's total group-as-player value strictly increased with
-    the number of shells and whether the faithful totals stayed constant; a
-    prudent curve that fails either check raises RuntimeError.
+    oracles, capped at n <= 16, on a partition that covers its players). Each
+    report row carries the group value under both valuations; the attacker's
+    row sums its shells. The report records whether the attacker's total
+    group-as-player value strictly increased with the number of shells and
+    whether the faithful totals stayed constant; a prudent curve that fails
+    either check raises RuntimeError.
     """
     n = base_partition.n
     schedules = sorted(schedules, key=lambda sc: sc.pieces)
@@ -180,10 +173,11 @@ def run_attack(source, base_partition: Partition, schedules) -> AttackReport:
         if game.n > ATTACK_GAME_CAP:
             raise ValueError(f"exact attack comparison capped at n <= {ATTACK_GAME_CAP}")
         prudent, violation = False, None
-        sv = exact_shapley_values(game)
 
         def valuations(partition):
-            return _valuations_game(game, sv, partition)
+            ks = range(len(partition))
+            return ([exact_group_shapley(game, partition, k) for k in ks],
+                    [fgsv_valuation(game, partition, k) for k in ks])
 
     target = schedules[0].target_group if schedules else 0
     rows: list[AttackRow] = []

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import math
 import os
@@ -24,7 +23,6 @@ from .baselines import NumericError
 from .bench import (
     BenchConfig,
     ConfigError,
-    SCHEMA_VERSION,
     THREADS_ENV_VAR,
     _check_schema_version,
     _fmt,
@@ -41,9 +39,7 @@ from .exact import (
     Partition,
     check_axioms,
     exact_group_shapley,
-    exact_shapley_values,
     fgsv_valuation,
-    gsv_valuation,
 )
 from .games import SIZE_UTILITIES, Game
 
@@ -54,7 +50,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _cmd_bench(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
+def _cmd_bench(cfg: dict, out_dir: str, seed: int | None, threads: int | None) -> int:
+    threads = resolve_threads(threads)
     bench_cfg = BenchConfig.from_dict(cfg)
     if seed is not None:
         bench_cfg.seed = _require_int(seed, "--seed", 0)
@@ -96,7 +93,7 @@ def _attack_partition(cfg: dict):
     return game, partition
 
 
-def _cmd_attack(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
+def _cmd_attack(cfg: dict, out_dir: str, seed: int | None, threads: int | None) -> int:
     _check_schema_version(cfg, "config")
     allowed = {"schema_version", "ubar", "game", "group_sizes", "groups",
                "target_group", "pieces"}
@@ -144,7 +141,7 @@ def _cmd_attack(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_axioms(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
+def _cmd_axioms(cfg: dict, out_dir: str, seed: int | None, threads: int | None) -> int:
     _check_schema_version(cfg, "config")
     allowed = {"schema_version", "game", "method", "partitions", "tol"}
     _require_keys(cfg, allowed, {"schema_version", "game", "method", "partitions"},
@@ -168,7 +165,7 @@ def _cmd_axioms(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
             if len(part) > DEFAULT_CAP:
                 raise ConfigError(f"partitions[{i}]: axioms with method gsv needs "
                                   f"at most {DEFAULT_CAP} groups, got {len(part)}")
-    valuation = fgsv_valuation if method == "fgsv" else gsv_valuation
+    valuation = fgsv_valuation if method == "fgsv" else exact_group_shapley
     report = check_axioms(valuation, game, partitions, tol=float(tol))
 
     os.makedirs(out_dir, exist_ok=True)
@@ -182,14 +179,13 @@ def _cmd_axioms(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_exact(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
+def _cmd_exact(cfg: dict, out_dir: str, seed: int | None, threads: int | None) -> int:
     _check_schema_version(cfg, "config")
     _require_keys(cfg, {"schema_version", "game", "groups"},
                   {"schema_version", "game", "groups"}, "config")
     game = build_game(cfg["game"])
     _check_players(game, DEFAULT_CAP, "exact")
     partition = partition_from_spec(cfg["groups"], game.n)
-    sv = exact_shapley_values(game)
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "exact.csv")
@@ -197,7 +193,7 @@ def _cmd_exact(cfg: dict, out_dir: str, seed: int | None, threads: int) -> int:
         writer = csv.writer(fh)
         writer.writerow(["group_id", "size", "fgsv", "gsv"])
         for k, g in enumerate(partition.groups):
-            fgsv = float(sv[list(g)].sum())
+            fgsv = fgsv_valuation(game, partition, k)
             gsv = exact_group_shapley(game, partition, k)
             writer.writerow([k + 1, len(g), _fmt(fgsv), _fmt(gsv)])
             log.info("group %d: fgsv=%.10g gsv=%.10g", k + 1, fgsv, gsv)
@@ -242,9 +238,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
-        threads = resolve_threads(args.threads)
         cfg = load_config(args.config)
-        return COMMANDS[args.command](cfg, args.out, args.seed, threads)
+        return COMMANDS[args.command](cfg, args.out, args.seed, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,7 +23,7 @@ from .combinatorics import (
     size_term_weights,
 )
 from .exact import _family_masks
-from .games import Game, augment_with_null
+from .games import Game, NullAugmentedGame
 from .metrics import ConvergenceCurve, Recorder
 
 log = logging.getLogger(__name__)
@@ -338,5 +338,5 @@ def estimate_group_value_augmented(
     if rng is None:
         rng = np.random.default_rng()
     all_paired = EstimatorConfig(size_threshold=1, grid_samples=1, pair_samples=samples)
-    padded = augment_with_null(game, B, null_sampler=null_sampler, rng=rng)
+    padded = NullAugmentedGame(game, B, null_sampler=null_sampler, rng=rng)
     return _run_plan(game, members, all_paired, rng, pair_game=padded)

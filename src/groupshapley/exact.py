@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import _check_feasible, _member_indices, size_term_weights
-from .games import Game, SOUGame
+from .games import Game
 
 DEFAULT_CAP = 20
 
@@ -26,24 +26,22 @@ class Partition:
     """Disjoint, non-empty index groups covering {0..n-1}."""
 
     groups: tuple[tuple[int, ...], ...]
+    n: int
 
-    def __init__(self, groups, n: int | None = None):
+    def __init__(self, groups, n: int):
         canon = tuple(tuple(sorted(g)) for g in groups)
         object.__setattr__(self, "groups", canon)
+        object.__setattr__(self, "n", n)
         flat = [i for g in canon for i in g]
         if any(len(g) == 0 for g in canon):
             raise ValueError("empty group in partition")
         if len(set(flat)) != len(flat):
             raise ValueError("groups overlap")
-        if n is not None and sorted(flat) != list(range(n)):
+        if sorted(flat) != list(range(n)):
             raise ValueError(f"groups do not cover 0..{n - 1}")
 
     def __len__(self) -> int:
         return len(self.groups)
-
-    @property
-    def n(self) -> int:
-        return sum(len(g) for g in self.groups)
 
 
 def mod_partition(n: int, k: int) -> Partition:
@@ -89,9 +87,8 @@ def exact_shapley_values(game: Game) -> np.ndarray:
 def exact_group_shapley(game: Game, partition: Partition, k: int) -> float:
     """Group-as-player Shapley value of group k: enumerates coalitions of the
     other groups and averages the target group's marginal contributions."""
+    _check_group(game, partition, k)
     groups = partition.groups
-    if not (0 <= k < len(groups)):
-        raise ValueError(f"group index {k} out of range")
     others = [g for j, g in enumerate(groups) if j != k]
     K = len(others)
     if K + 1 > DEFAULT_CAP:
@@ -119,8 +116,30 @@ def exact_faithful_group_shapley(game: Game, members) -> float:
     members = _member_indices(members, game.n)
     if len(members) == 0:
         return 0.0
-    sv = exact_shapley_values(game)
-    return float(sv[members].sum())
+    return float(_shapley_table(game)[members].sum())
+
+
+# Each game's exact Shapley values, computed once per game object. Games are
+# pure utilities, so the table never goes stale; it goes with its game. A
+# NullAugmentedGame, whose null draws are random, keeps its first table.
+_SHAPLEY_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _shapley_table(game: Game) -> np.ndarray:
+    """The game's exact Shapley values: one 2^n table per game object, shared
+    by every partition, group and member set valued on it."""
+    if game not in _SHAPLEY_TABLES:
+        _SHAPLEY_TABLES[game] = exact_shapley_values(game)
+    return _SHAPLEY_TABLES[game]
+
+
+def _check_group(game: Game, partition: Partition, k: int = 0) -> None:
+    """Rejects a partition that does not cover exactly the game's players,
+    or a group index outside it."""
+    if partition.n != game.n:
+        raise ValueError(f"partition covers {partition.n} players, game has {game.n}")
+    if not (0 <= k < len(partition)):
+        raise ValueError(f"group index {k} out of range")
 
 
 def _combination_masks(n: int, pool: np.ndarray, k: int) -> np.ndarray:
@@ -220,24 +239,11 @@ class AxiomReport:
         )
 
 
-# Each game's exact Shapley values, computed once per game object. Games are
-# pure utilities, so the table never goes stale; it goes with its game.
-_SHAPLEY_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def fgsv_valuation(game: Game, partition: Partition, k: int) -> float:
     """Faithful group valuation: sum of members' exact Shapley values. The
     2^n table is built once per game, not once per (partition, group)."""
-    if not (0 <= k < len(partition.groups)):
-        raise ValueError(f"group index {k} out of range")
-    if game not in _SHAPLEY_TABLES:
-        _SHAPLEY_TABLES[game] = exact_shapley_values(game)
-    return float(_SHAPLEY_TABLES[game][list(partition.groups[k])].sum())
-
-
-def gsv_valuation(game: Game, partition: Partition, k: int) -> float:
-    """Group-as-player valuation, exact."""
-    return exact_group_shapley(game, partition, k)
+    _check_group(game, partition, k)
+    return exact_faithful_group_shapley(game, partition.groups[k])
 
 
 class _MaskTransformGame(Game):
@@ -292,13 +298,16 @@ def check_axioms(
     tol: float = 1e-10,
 ) -> AxiomReport:
     """Empirically checks the five group-valuation axioms for ``valuation``,
-    a callable (game, partition, k) -> float.
+    a callable (game, partition, k) -> float. Every partition must cover
+    exactly the game's players, else ValueError before any evaluation.
 
     Constructs the witness games it needs (a dummy group, a symmetrized pair,
     a linear combination) from ``game`` and, for linearity, ``second_game``.
     """
     if not partitions:
         raise ValueError("need at least one partition")
+    for part in partitions:
+        _check_group(game, part)
     report = AxiomReport()
     base_part = partitions[0]
 

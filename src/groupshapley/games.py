@@ -323,7 +323,7 @@ class RegressionGame(Game):
 
     Coalitions with fewer rows than predictors fall back to the null utility
     (the negative variance of the test responses, i.e. the mean predictor);
-    wrap with :func:`augment_with_null` for a principled treatment of small
+    wrap in :class:`NullAugmentedGame` for a principled treatment of small
     coalitions.
     """
 
@@ -416,7 +416,9 @@ class RegressionGame(Game):
 
 class NullAugmentedGame(Game):
     """Wrapper that pads small coalitions with fresh non-informative items up to
-    the target size; coalitions at or above the threshold pass through.
+    the target size; coalitions at or above the threshold pass through. Raises
+    :class:`UnsupportedGameError` for game types that cannot absorb synthetic
+    items.
 
     The fresh draws make the wrapped game stochastic: the purity guarantee of
     the base class is deliberately waived here, and ``rng`` advances with
@@ -451,13 +453,6 @@ class NullAugmentedGame(Game):
                 masks[i], self.threshold - int(sizes[i]), self.rng, self.null_sampler
             )
         return out
-
-
-def augment_with_null(game: Game, B: int, null_sampler=None, rng=None) -> Game:
-    """Returns a game evaluating U(S ∪ {B-|S| fresh null items}) when |S| < B
-    and U(S) otherwise. Raises :class:`UnsupportedGameError` for game types
-    that cannot absorb synthetic items."""
-    return NullAugmentedGame(game, B, null_sampler=null_sampler, rng=rng)
 
 
 def load_regression_csv(path, test_fraction: float, lam: float, seed) -> RegressionGame:

@@ -39,7 +39,7 @@ from groupshapley.exact import (
     check_axioms,
     faithful_group_shapley_by_sizes,
     fgsv_valuation,
-    gsv_valuation,
+    exact_group_shapley,
     size_profile_term,
 )
 from groupshapley.games import (
@@ -198,7 +198,7 @@ def test_criterion_04_axioms(report):
     # size-only game: the same group is worth more inside a finer partition.
     for _, ubar in PRUDENT_CURVES:
         game = SizeOnlyGame(8, ubar)
-        rep = check_axioms(gsv_valuation, game, partitions, tol=1e-10)
+        rep = check_axioms(exact_group_shapley, game, partitions, tol=1e-10)
         ok &= not rep.results["faithfulness"].passed
     elapsed = time.perf_counter() - t0
     report(4, ok and elapsed < 60)

@@ -181,6 +181,22 @@ class TestRunAttack:
         other = [r for r in report.rows if not r.is_attacker]
         assert np.ptp([r.fgsv for r in other]) < 1e-10
 
+    def test_partition_must_cover_the_game(self, kernel_rows):
+        game = sou_generate(6, 10, 1)
+        counted = kernel_rows(game)
+        with pytest.raises(ValueError, match="covers 3 players, game has 6"):
+            run_attack(game, Partition([[0], [1, 2]], n=3), [SplitSchedule(1, 2)])
+        assert counted.rows == 0
+
+    def test_one_shapley_table_per_game(self, kernel_rows):
+        # One 2^n table gives the faithful values of every partition; the
+        # group-as-player values of a partition P cost |P| * 2^|P| rows.
+        game = sou_generate(10, 30, 4)
+        counted = kernel_rows(game)
+        base = Partition([list(range(6)), [6, 7], [8, 9]], n=10)
+        run_attack(game, base, [SplitSchedule(0, 2), SplitSchedule(0, 3)])
+        assert counted.rows == 2**10 + 3 * 2**3 + 4 * 2**4 + 5 * 2**5  # 1 272
+
     def test_game_size_cap(self):
         game = sou_generate(18, 10, 0)
         part = Partition([list(range(9)), list(range(9, 18))], n=18)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import ctypes
 import json
@@ -138,6 +139,44 @@ class TestThreads:
         monkeypatch.setenv(THREADS_ENV_VAR, "many")
         with pytest.raises(ConfigError):
             resolve_threads(None)
+
+
+class TestThreadsOnlyForBench:
+    """Only bench reads --threads and $GROUPSHAPLEY_THREADS: a bad setting is
+    a config error there, before any cell runs, and ignored elsewhere."""
+
+    PAYLOADS = {
+        "exact": {"schema_version": 1, "game": {"type": "sou", "n": 6, "d": 10, "seed": 8},
+                  "groups": {"rule": "mod", "k": 3}},
+        "axioms": {"schema_version": 1, "game": {"type": "sou", "n": 6, "d": 10, "seed": 8},
+                   "method": "fgsv", "partitions": [{"rule": "mod", "k": 3}]},
+        "attack": {"schema_version": 1, "ubar": "saturating2", "group_sizes": [2, 6],
+                   "target_group": 1, "pieces": [2, 3]},
+        "bench": bench_payload(),
+    }
+
+    @pytest.mark.parametrize("command", sorted(PAYLOADS))
+    @pytest.mark.parametrize("env, args", [
+        ("abc", []), (None, ["--threads", "0"]),
+    ], ids=["env", "flag"])
+    def test_bad_setting(self, tmp_path, capsys, monkeypatch, command, env, args):
+        def no_cells(*a, **k):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_run_cell", no_cells)
+        if env is None:
+            monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(THREADS_ENV_VAR, env)
+        cfg = write_config(tmp_path, "cfg.json", self.PAYLOADS[command])
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"), *args])
+        err = capsys.readouterr().err
+        if command == "bench":
+            assert rc == 2
+            key = args[0] if args else THREADS_ENV_VAR
+            assert err.startswith("config error: ") and key in err, err
+        else:
+            assert rc == 0, err
 
 
 class TestBenchCommand:
@@ -641,6 +680,30 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_unused_imports():
+    """Every name a module of the package imports is used in that module.
+    ``__init__.py``, which re-exports, and ``__future__`` imports are exempt."""
+    pkg = os.path.dirname(os.path.abspath(cli.__file__))
+    unused = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line}: {ident}" for ident, line in imported.items()
+                   if ident not in used]
+    assert unused == []
 
 
 class TestConfigMistakes:

@@ -16,7 +16,6 @@ from groupshapley.exact import (
     exact_size_term,
     faithful_group_shapley_by_sizes,
     fgsv_valuation,
-    gsv_valuation,
     mod_partition,
     size_profile_term,
     utility_table,
@@ -65,6 +64,37 @@ class TestPartition:
         p = mod_partition(8, 4)
         assert p.groups == ((0, 4), (1, 5), (2, 6), (3, 7))
         assert p.n == 8
+
+    def test_n_is_required(self):
+        with pytest.raises(TypeError):
+            Partition([[0], [1, 2]])
+        assert Partition([[2, 1], [0]], 3).n == 3
+
+
+class TestCoverage:
+    """Every exact group valuation rejects a partition that does not cover
+    exactly the game's players, before any coalition reaches the kernel."""
+
+    # Too few players, and a member past the game's last player.
+    BAD = [Partition([[0], [1, 2]], n=3), Partition([[0, 1, 2], [3, 4, 5, 6]], n=7)]
+
+    @pytest.mark.parametrize("valuation", [fgsv_valuation, exact_group_shapley])
+    @pytest.mark.parametrize("part", BAD, ids=["short", "past"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_valuation(self, kernel_rows, valuation, part, k):
+        g = sou_generate(6, 10, 1)
+        counted = kernel_rows(g)
+        with pytest.raises(ValueError, match=f"covers {part.n} players, game has 6"):
+            valuation(g, part, k)
+        assert counted.rows == 0
+
+    @pytest.mark.parametrize("valuation", [fgsv_valuation, exact_group_shapley])
+    def test_check_axioms(self, kernel_rows, valuation):
+        g = sou_generate(6, 10, 1)
+        counted = kernel_rows(g)
+        with pytest.raises(ValueError, match="covers 3 players, game has 6"):
+            check_axioms(valuation, g, [mod_partition(6, 3), self.BAD[0]])
+        assert counted.rows == 0
 
 
 class TestExactSv:
@@ -400,13 +430,13 @@ class TestAxioms:
             Partition([[0, 1], [2, 3, 4, 5]], n=6),
             Partition([[0, 1], [2, 3], [4, 5]], n=6),
         ]
-        report = check_axioms(gsv_valuation, g, parts)
+        report = check_axioms(exact_group_shapley, g, parts)
         assert not report.results["faithfulness"].passed
         assert report.results["efficiency"].passed
 
     def test_gsv_efficiency_single_partition(self):
         g = sou_generate(6, 10, 11)
-        report = check_axioms(gsv_valuation, g, [mod_partition(6, 3)])
+        report = check_axioms(exact_group_shapley, g, [mod_partition(6, 3)])
         assert report.results["efficiency"].passed
 
     def test_one_shapley_table_per_game(self, kernel_rows):

@@ -24,13 +24,13 @@ from groupshapley.exact import (
 from groupshapley.games import (
     Game,
     IntersectionSizeGame,
+    NullAugmentedGame,
     RegressionGame,
     SIZE_UTILITIES,
     SOUGame,
     SizeOnlyGame,
     UnsupportedGameError,
     _exact_limbs,
-    augment_with_null,
     game_from_config,
     load_regression_csv,
     sou_generate,
@@ -62,7 +62,7 @@ def _every_game(n):
         "intersection": (IntersectionSizeGame(
             n, [1, n - 1], lambda s1, s: math.sqrt(s1 + 1) / (s + 1)), True),
         "regression": (_toy_regression(n), False),
-        "null_augmented": (augment_with_null(SizeOnlyGame(n, SIZE_UTILITIES["sqrt"]), 3),
+        "null_augmented": (NullAugmentedGame(SizeOnlyGame(n, SIZE_UTILITIES["sqrt"]), 3),
                            True),
     }
     # The axiom checker's witness games, over two invariant bases.
@@ -579,34 +579,34 @@ class TestAugmentation:
     def test_unsupported_game(self):
         g = sou_generate(5, 5, 0)
         with pytest.raises(UnsupportedGameError):
-            augment_with_null(g, 3)
+            NullAugmentedGame(g, 3)
 
     def test_noop_above_threshold(self):
         g = SizeOnlyGame(6, lambda s: float(s) ** 2)
-        wrapped = augment_with_null(g, 3, rng=np.random.default_rng(0))
+        wrapped = NullAugmentedGame(g, 3, rng=np.random.default_rng(0))
         assert wrapped.evaluate([0, 1, 2, 4]) == 16.0
 
     def test_padding_below_threshold(self):
         g = SizeOnlyGame(6, lambda s: float(s) ** 2)
-        wrapped = augment_with_null(g, 3, rng=np.random.default_rng(0))
+        wrapped = NullAugmentedGame(g, 3, rng=np.random.default_rng(0))
         assert wrapped.evaluate([0]) == 9.0  # padded up to 3 items
 
     def test_threshold_boundary(self):
         g = SizeOnlyGame(6, lambda s: float(s))
-        wrapped = augment_with_null(g, 1, rng=np.random.default_rng(0))
+        wrapped = NullAugmentedGame(g, 1, rng=np.random.default_rng(0))
         assert wrapped.evaluate([]) == 1.0
         assert wrapped.evaluate([2]) == 1.0
 
     def test_b_larger_than_n_allowed(self):
         g = SizeOnlyGame(4, lambda s: float(s))
-        wrapped = augment_with_null(g, 7, rng=np.random.default_rng(0))
+        wrapped = NullAugmentedGame(g, 7, rng=np.random.default_rng(0))
         assert wrapped.evaluate([0, 1, 2, 3]) == 7.0
 
     def test_counts_on_base_counter(self, kernel_rows):
         # Padded and pass-through rows each reach the base kernel once.
         g = SizeOnlyGame(6, lambda s: float(s))
         counted = kernel_rows(g)
-        wrapped = augment_with_null(g, 3, rng=np.random.default_rng(0))
+        wrapped = NullAugmentedGame(g, 3, rng=np.random.default_rng(0))
         wrapped.evaluate([0])
         masks = np.zeros((4, 6), dtype=bool)
         masks[0] = True
@@ -616,7 +616,7 @@ class TestAugmentation:
     def test_regression_null_sampler_pads_rows(self):
         game = _toy_regression()
         Xn, yn = np.ones((2, 3)), np.zeros(2)
-        wrapped = augment_with_null(game, 3, null_sampler=lambda rng, k: (Xn[:k], yn[:k]),
+        wrapped = NullAugmentedGame(game, 3, null_sampler=lambda rng, k: (Xn[:k], yn[:k]),
                                     rng=np.random.default_rng(0))
         expected = game._fit_and_score(np.vstack([game.X_train[[4]], Xn]),
                                        np.concatenate([game.y_train[[4]], yn]))
@@ -630,8 +630,8 @@ class TestAugmentation:
         masks = _random_masks(20, 60, np.random.default_rng(2))
         masks[1:30:3] = False
         masks[1:30:3, :2] = True  # 2 rows, padded up to 4
-        batched = augment_with_null(game, 4, rng=np.random.default_rng(7))
-        looped = augment_with_null(game, 4, rng=np.random.default_rng(7))
+        batched = NullAugmentedGame(game, 4, rng=np.random.default_rng(7))
+        looped = NullAugmentedGame(game, 4, rng=np.random.default_rng(7))
         got = batched.evaluate_masks(masks)
         want = [looped.evaluate_mask(m) for m in masks]
         padded = masks.sum(axis=1) < 4
@@ -644,7 +644,7 @@ class TestAugmentation:
         game = _toy_regression()
         means = []
         for seed in (1, 2):
-            wrapped = augment_with_null(
+            wrapped = NullAugmentedGame(
                 game, 6, null_sampler=game.default_null_sampler,
                 rng=np.random.default_rng(seed),
             )
