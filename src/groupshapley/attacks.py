@@ -17,8 +17,8 @@ import numpy as np
 
 from .exact import (
     Partition,
-    _all_masks,
     _shapley_weights,
+    _subset_sums,
     exact_group_shapley,
     fgsv_valuation,
 )
@@ -87,11 +87,10 @@ def expected_gsv(ubar, group_sizes, k: int) -> float:
         raise ValueError("group index out of range")
     s_k = sizes[k]
     others = np.array([s for j, s in enumerate(sizes) if j != k], dtype=np.int64)
-    selected = _all_masks(len(others))
     # ubar is called once per distinct size of the other groups' union.
-    totals, inverse = np.unique(selected @ others, return_inverse=True)
+    totals, inverse = np.unique(_subset_sums(others), return_inverse=True)
     gains = np.array([ubar(int(t) + s_k) - ubar(int(t)) for t in totals], dtype=float)
-    weights = _shapley_weights(len(others) + 1)[selected.sum(axis=1)]
+    weights = _shapley_weights(len(others) + 1)[_subset_sums(np.ones(len(others), dtype=np.uint8))]
     return float(weights @ gains[inverse])
 
 

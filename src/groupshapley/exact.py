@@ -50,8 +50,19 @@ def mod_partition(n: int, k: int) -> Partition:
 
 
 def _all_masks(n: int) -> np.ndarray:
-    ids = np.arange(1 << n, dtype=np.int64)
-    return ((ids[:, None] >> np.arange(n)) & 1).astype(bool)
+    """Row m is the bitmask m as n bools, unpacked from its little-endian
+    uint32 bytes: n bytes per coalition and no wider temporary."""
+    ids = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(ids, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """Entry m is the sum of ``values[i]`` over the bits i set in m, in the
+    dtype of ``values``; all ones count coalition sizes."""
+    out = np.zeros(1 << len(values), dtype=values.dtype)
+    for i, v in enumerate(values):
+        np.add(out[: 1 << i], v, out=out[1 << i : 2 << i])
+    return out
 
 
 def utility_table(game: Game) -> np.ndarray:
@@ -73,14 +84,16 @@ def exact_shapley_values(game: Game) -> np.ndarray:
     """All n individual Shapley values by full enumeration (2^n evaluations)."""
     n = game.n
     table = utility_table(game)
-    sizes = _all_masks(n).sum(axis=1)
+    sizes = _subset_sums(np.ones(n, dtype=np.uint8))
     weights = _shapley_weights(n)
     sv = np.zeros(n)
-    ids = np.arange(1 << n, dtype=np.int64)
     for i in range(n):
-        without = ids[(ids >> i) & 1 == 0]
-        marginals = table[without | (1 << i)] - table[without]
-        sv[i] = float(weights[sizes[without]] @ marginals)
+        # Row r, column c of the view holds the bitmask with the bits above i
+        # equal to r, bit i to the middle index and the bits below i to c, so
+        # the [:, 0] entries list the coalitions without i in ascending order.
+        pairs = table.reshape(-1, 2, 1 << i)
+        marginals = (pairs[:, 1] - pairs[:, 0]).ravel()
+        sv[i] = float(weights[sizes.reshape(-1, 2, 1 << i)[:, 0]].ravel() @ marginals)
     return sv
 
 
@@ -107,7 +120,7 @@ def exact_group_shapley(game: Game, partition: Partition, k: int) -> float:
     with_target = union_masks | target
     u_without = game.evaluate_masks(union_masks)
     u_with = game.evaluate_masks(with_target)
-    weights = _shapley_weights(K + 1)[selected.sum(axis=1)]
+    weights = _shapley_weights(K + 1)[_subset_sums(np.ones(K, dtype=np.uint8))]
     return float(weights @ (u_with - u_without))
 
 
@@ -299,7 +312,8 @@ def check_axioms(
 ) -> AxiomReport:
     """Empirically checks the five group-valuation axioms for ``valuation``,
     a callable (game, partition, k) -> float. Every partition must cover
-    exactly the game's players, else ValueError before any evaluation.
+    exactly the game's players, and ``second_game`` must have them too, else
+    ValueError before any evaluation.
 
     Constructs the witness games it needs (a dummy group, a symmetrized pair,
     a linear combination) from ``game`` and, for linearity, ``second_game``.
@@ -308,6 +322,8 @@ def check_axioms(
         raise ValueError("need at least one partition")
     for part in partitions:
         _check_group(game, part)
+    if second_game is not None and second_game.n != game.n:
+        raise ValueError(f"second_game has {second_game.n} players, game has {game.n}")
     report = AxiomReport()
     base_part = partitions[0]
 

@@ -383,7 +383,8 @@ class RegressionGame(Game):
             block = masks[lo : lo + self._block_rows]
             rows = lo + np.flatnonzero(block.sum(axis=1, dtype=np.int32) >= max(p, 1))
             sel = masks[rows].astype(np.float64)
-            grams = (sel @ self._outer).reshape(-1, p, p) + self._ridge
+            grams = (sel @ self._outer).reshape(-1, p, p)
+            grams += self._ridge
             try:
                 beta = np.linalg.solve(grams, (sel @ self._xy)[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
@@ -392,8 +393,9 @@ class RegressionGame(Game):
                     for m in masks[rows]
                 ]
                 continue
-            resid = beta @ self.X_test.T - self.y_test
-            out[rows] = -np.mean(resid**2, axis=1)
+            resid = beta @ self.X_test.T
+            resid -= self.y_test
+            out[rows] = -np.mean(np.square(resid, out=resid), axis=1)
         return out
 
     def _padded_value(

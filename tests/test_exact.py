@@ -1,13 +1,17 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from groupshapley.attacks import expected_gsv
 from groupshapley.combinatorics import HypergeomParams, log_binom
 from groupshapley.exact import (
     Partition,
+    _all_masks,
     _family_masks,
+    _shapley_weights,
     check_axioms,
     exact_faithful_group_shapley,
     exact_group_shapley,
@@ -23,6 +27,7 @@ from groupshapley.exact import (
 from groupshapley.games import (
     Game,
     IntersectionSizeGame,
+    RegressionGame,
     SIZE_UTILITIES,
     SOUGame,
     SizeOnlyGame,
@@ -95,6 +100,13 @@ class TestCoverage:
         with pytest.raises(ValueError, match="covers 3 players, game has 6"):
             check_axioms(valuation, g, [mod_partition(6, 3), self.BAD[0]])
         assert counted.rows == 0
+
+    def test_check_axioms_second_game(self, kernel_rows):
+        g, h = sou_generate(6, 10, 1), sou_generate(8, 10, 2)
+        counted = [kernel_rows(g), kernel_rows(h)]
+        with pytest.raises(ValueError, match="second_game has 8 players, game has 6"):
+            check_axioms(fgsv_valuation, g, [mod_partition(6, 3)], second_game=h)
+        assert [c.rows for c in counted] == [0, 0]
 
 
 class TestExactSv:
@@ -461,3 +473,122 @@ class TestAxioms:
                               [mod_partition(6, 3), mod_partition(6, 2)])
         text = report.to_json()
         assert '"efficiency"' in text
+
+
+# ---------------------------------------------------------------------------
+# Frozen references: the enumerations as they were written before the 2^n
+# masks were unpacked from bytes, the coalition sizes summed by doubling and
+# the marginals read off table views. The new code must give the same bits.
+
+
+def _reference_all_masks(n):
+    """The shift-based mask build, applied to 2^16 ids at a time (each row
+    depends on its id alone) so that n = 20 stays small."""
+    ids = np.arange(1 << n, dtype=np.int64)
+    return np.concatenate([((ids[lo : lo + (1 << 16), None] >> np.arange(n)) & 1).astype(bool)
+                           for lo in range(0, 1 << n, 1 << 16)])
+
+
+def _reference_shapley_values(game):
+    """The fancy-indexing loop over the coalitions without each player."""
+    n = game.n
+    table = game.evaluate_masks(_reference_all_masks(n))
+    sizes = _reference_all_masks(n).sum(axis=1)
+    weights = _shapley_weights(n)
+    sv = np.zeros(n)
+    ids = np.arange(1 << n, dtype=np.int64)
+    for i in range(n):
+        without = ids[(ids >> i) & 1 == 0]
+        marginals = table[without | (1 << i)] - table[without]
+        sv[i] = float(weights[sizes[without]] @ marginals)
+    return sv
+
+
+def _reference_expected_gsv(ubar, sizes, k):
+    """The union sizes and coalition counts taken from the 2^K x K masks."""
+    s_k = sizes[k]
+    others = np.array([s for j, s in enumerate(sizes) if j != k], dtype=np.int64)
+    selected = _reference_all_masks(len(others))
+    totals, inverse = np.unique(selected @ others, return_inverse=True)
+    gains = np.array([ubar(int(t) + s_k) - ubar(int(t)) for t in totals], dtype=float)
+    weights = _shapley_weights(len(others) + 1)[selected.sum(axis=1)]
+    return float(weights @ gains[inverse])
+
+
+class _ReferenceRidgeGame(RegressionGame):
+    """The ridge kernel with a fresh temporary for every block operation."""
+
+    def _values(self, masks):
+        p = self.num_predictors
+        out = np.full(len(masks), self.null_utility)
+        for lo in range(0, len(masks), self._block_rows):
+            block = masks[lo : lo + self._block_rows]
+            rows = lo + np.flatnonzero(block.sum(axis=1, dtype=np.int32) >= max(p, 1))
+            sel = masks[rows].astype(np.float64)
+            grams = (sel @ self._outer).reshape(-1, p, p) + self._ridge
+            beta = np.linalg.solve(grams, (sel @ self._xy)[:, :, None])[:, :, 0]
+            resid = beta @ self.X_test.T - self.y_test
+            out[rows] = -np.mean(resid**2, axis=1)
+        return out
+
+
+def _random_sou(n, seed):
+    rng = np.random.default_rng(seed)
+    subsets = [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+               for _ in range(3 * n)]
+    return SOUGame(n, subsets, rng.normal(size=3 * n))
+
+
+def _ridge_data(n, seed):
+    rng = np.random.default_rng(seed)
+    beta = np.array([1.0, -2.0, 0.5])
+    X, Xt = rng.normal(size=(n, 3)), rng.normal(size=(40, 3))
+    return X, X @ beta + rng.normal(size=n), Xt, Xt @ beta + rng.normal(size=40)
+
+
+class TestFrozenReference:
+    @pytest.mark.parametrize("n", range(21))
+    def test_all_masks(self, n):
+        got = _all_masks(n)
+        assert got.dtype == bool and got.shape == (1 << n, n)
+        assert got.tobytes() == _reference_all_masks(n).tobytes()
+
+    @pytest.mark.parametrize("kind", ["sou", "ridge", "size_only"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 16])
+    def test_shapley_values(self, n, kind):
+        if kind == "sou":
+            game = reference = _random_sou(n, n)
+        elif kind == "ridge":
+            game = RegressionGame(*_ridge_data(n, n))
+            reference = _ReferenceRidgeGame(*_ridge_data(n, n))
+        else:
+            game = reference = SizeOnlyGame(n, math.sqrt)
+        got = exact_shapley_values(game)
+        assert got.tobytes() == _reference_shapley_values(reference).tobytes()
+
+    @pytest.mark.parametrize("sizes", [[7], [1, 2], [1, 2, 3, 4, 5], [4] * 9,
+                                       [3] * 20, list(range(1, 21))])
+    def test_expected_gsv(self, sizes):
+        for k in sorted({0, len(sizes) // 2, len(sizes) - 1}):
+            for ubar in (math.sqrt, SIZE_UTILITIES["saturating2"]):
+                assert expected_gsv(ubar, sizes, k) == _reference_expected_gsv(ubar, sizes, k)
+
+
+def _traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call, bound_mib", [
+    (lambda: _all_masks(16), 1.5),
+    (lambda: exact_shapley_values(SizeOnlyGame(16, math.sqrt)), 6),
+    (lambda: expected_gsv(math.sqrt, [3] * 20, 0), 35),
+], ids=["all_masks", "exact_shapley_values", "expected_gsv"])
+def test_enumeration_footprint(call, bound_mib):
+    # The 2^16 masks take one byte per player and coalition (1 MiB), and no
+    # 2^n x n int64 temporary (8 MiB at n = 16, 80 MiB at K = 19) is built.
+    assert _traced_peak_mib(call) < bound_mib
