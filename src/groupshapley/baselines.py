@@ -69,19 +69,19 @@ def _schedule(method: str, n: int, budget: int | None = None,
     The smallest run is one full ordering (permutation), one draw (group
     testing, complement contribution, LeverageSHAP), n draws (both
     KernelSHAPs) or no draw (one-for-all). One-for-all samples nothing when
-    n < 4: it has no interior size 2..n-2. Permutation sampling draws the
-    n+1 prefixes of one ordering per batch; the others draw
-    ``checkpoint_interval`` evaluations' worth per batch, by default 512 or
-    1024. Raises ValueError for an unknown method, for n < 2 where the
-    method needs two players, for a budget below the smallest run and for a
-    checkpoint interval below 1.
+    n < 4: it has no interior size 2..n-2. Each batch draws
+    ``checkpoint_interval`` evaluations' worth, by default 512 or 1024;
+    permutation sampling draws whole orderings, the n+1 prefixes of each,
+    at least one per batch. Raises ValueError for an unknown method, for
+    n < 2 where the method needs two players, for a budget below the
+    smallest run and for a checkpoint interval below 1.
     """
     if method not in BASELINE_ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
     if checkpoint_interval is not None and checkpoint_interval < 1:
         raise ValueError(f"checkpoint interval must be >= 1, got {checkpoint_interval}")
     min_n, fixed, cost, least, per_batch = {
-        "permutation": (1, 0, 1, n + 1, None),
+        "permutation": (1, 0, 1, n + 1, 1024),
         "group_testing": (1, 0, 1, 1, 512),
         "complement_contribution": (1, 0, 2, 1, 1024),
         "one_for_all": (2, 2 * n + 2, 1, 0, 512),
@@ -98,7 +98,8 @@ def _schedule(method: str, n: int, budget: int | None = None,
         )
     if method == "one_for_all" and n < 4:
         draws = 0
-    batch = n + 1 if per_batch is None else max((checkpoint_interval or per_batch) // cost, 1)
+    step = n + 1 if method == "permutation" else 1
+    batch = max((checkpoint_interval or per_batch) // (cost * step), 1) * step
     return _Schedule(fixed, cost, draws, batch)
 
 
@@ -106,16 +107,17 @@ def _run(schedule: _Schedule, draw, values, groups, checkpoint_interval,
          final=None) -> SvEstimate:
     """Runs ``draw(c)`` for each batch of c draws after the schedule's fixed
     evaluations, and checkpoints the group sums of ``values()`` from the
-    fixed evaluations on. The estimate is ``final()``, by default
-    ``values()``."""
+    fixed evaluations on: after each batch, or, where ``draw`` is a
+    generator, after each count of the batch's draws it yields. The estimate
+    is ``final()``, by default ``values()``."""
     rec = Recorder(checkpoint_interval if groups is not None else None, groups)
     rec.update(schedule.fixed, values)
     done = 0
     while done < schedule.draws:
         c = min(schedule.batch, schedule.draws - done)
-        draw(c)
+        for spent in draw(c) or (c,):
+            rec.update(schedule.fixed + schedule.cost * (done + spent), values)
         done += c
-        rec.update(schedule.fixed + schedule.cost * done, values)
     return SvEstimate((final or values)(), schedule.evaluations, rec.curves)
 
 
@@ -142,7 +144,11 @@ def permutation_estimator(
 ) -> SvEstimate:
     """Averages marginal contributions along random player orderings. Each
     full ordering costs n+1 evaluations (empty set plus n prefixes); the last
-    ordering is truncated so exactly ``budget`` evaluations are spent."""
+    ordering is truncated so exactly ``budget`` evaluations are spent.
+
+    One kernel call scores a batch's orderings, then their marginals are
+    added one ordering at a time, so each checkpoint records the estimate
+    after the ordering that crosses it."""
     n = game.n
     schedule = _schedule("permutation", n, budget, checkpoint_interval)
     groups = _parse_groups(groups, n)
@@ -150,14 +156,19 @@ def permutation_estimator(
     counts = np.zeros(n, dtype=np.int64)
 
     def draw(c):
-        perm = rng.permutation(n)
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
-        masks = np.arange(c)[:, None] > inv[None, :]
-        u = game.evaluate_masks(masks)
-        players = perm[: c - 1]
-        sums[players] += u[1:] - u[:-1]
-        counts[players] += 1
+        perms = np.array([rng.permutation(n) for _ in range(-(-c // (n + 1)))])
+        # Row t of an ordering holds its first t players: those at a
+        # position below t.
+        positions = np.empty_like(perms)
+        np.put_along_axis(positions, perms, np.arange(n)[None, :], axis=1)
+        masks = (np.arange(n + 1)[:, None] > positions[:, None, :]).reshape(-1, n)
+        u = game.evaluate_masks(masks[:c])
+        for j, perm in enumerate(perms):
+            uj = u[j * (n + 1) : (j + 1) * (n + 1)]
+            players = perm[: len(uj) - 1]
+            sums[players] += uj[1:] - uj[:-1]
+            counts[players] += 1
+            yield j * (n + 1) + len(uj)
 
     return _run(schedule, draw, lambda: _stratum_means(sums, counts),
                 groups, checkpoint_interval)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .combinatorics import (
+    HypergeomParams,
     _check_feasible,
     _member_indices,
     sample_paired_tuples,
@@ -23,7 +24,7 @@ from .combinatorics import (
     size_term_weights,
 )
 from .exact import _family_masks
-from .games import Game, NullAugmentedGame
+from .games import _BATCH_ENTRIES, Game, NullAugmentedGame
 from .metrics import ConvergenceCurve, Recorder
 
 log = logging.getLogger(__name__)
@@ -88,48 +89,53 @@ def _size_plan(n: int, s0: int, size_threshold: int):
             yield s, [(None, paired_weight)]
 
 
-def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
-    """Mean of sampled ``values`` and the variance of that mean (from the
-    unbiased sample variance; zero for one value)."""
+def _grid_rows(n: int, s0: int, s: int, s1: int, samples: int,
+               exhaustive: bool) -> tuple[int, str]:
+    """Rows one (size, overlap) family sends, and how: ``"enumerate"`` all of
+    it if ``exhaustive`` and no larger than ``samples``, else ``"sample"``
+    ``samples`` draws from it."""
+    if exhaustive:
+        family = math.comb(s0, s1) * math.comb(n - s0, s - s1)
+        if family <= samples:
+            return family, "enumerate"
+    return samples, "sample"
+
+
+def _cell_masks(rng: np.random.Generator, n: int, members: np.ndarray, s: int,
+                s1: int | None, rows: int, how: str) -> np.ndarray:
+    """The ``rows`` masks of one cell: the whole family of subsets of size s
+    and overlap s1 (``how`` is ``"enumerate"``), draws from it
+    (``"sample"``), or ``rows // 2`` paired draws (``"pair"``; s1 may be
+    None), R ∪ {z1} stacked on R ∪ {z2} with |R| = s as
+    :func:`sample_paired_tuples` draws them."""
+    if how == "enumerate":
+        return _family_masks(n, members, s, s1)
+    if how == "sample":
+        return sample_subsets_with_intersection(rng, n, members, s, s1, rows)
+    half = rows // 2
+    with_out, z1, z2 = sample_paired_tuples(rng, n, members, s, s1, half)
+    masks = np.concatenate((with_out, with_out))
+    masks[np.arange(half), z1] = True
+    masks[np.arange(half, rows), z2] = True
+    return masks
+
+
+def _cell_mean(values: np.ndarray, how: str) -> tuple[float, float]:
+    """Mean of one cell from the utilities of its :func:`_cell_masks`, of
+    the values or of the paired differences U(R ∪ {z1}) - U(R ∪ {z2}), and
+    the variance of that mean: from the unbiased sample variance, zero if
+    enumerated or for one draw."""
+    if how == "enumerate":
+        return float(values.mean()), 0.0
+    if how == "pair":
+        half = len(values) // 2
+        values = values[:half] - values[half:]
     m = len(values)
     mean = values.sum() / m
     if m < 2:
         return float(mean), 0.0
     dev = values - mean
     return float(mean), float(dev @ dev) / ((m - 1) * m)
-
-
-def _grid_rows(n: int, s0: int, s: int, s1: int, samples: int,
-               exhaustive: bool) -> tuple[int, bool]:
-    """Rows one (size, overlap) family sends, and whether they enumerate it:
-    all of it if ``exhaustive`` and no larger than ``samples``, else ``samples``."""
-    if exhaustive:
-        family = math.comb(s0, s1) * math.comb(n - s0, s - s1)
-        if family <= samples:
-            return family, True
-    return samples, False
-
-
-def _cell_rows(n: int, s0: int, s: int, s1: int | None,
-               config: EstimatorConfig) -> tuple[int, bool]:
-    """:func:`_grid_rows` of one cell of the size plan; a paired cell (s1 None)
-    sends 2 * pair_samples rows."""
-    if s1 is None:
-        return 2 * config.pair_samples, False
-    return _grid_rows(n, s0, s, s1, config.grid_samples, config.exhaustive_small_sizes)
-
-
-def _mean_utility(
-    game: Game, members: np.ndarray, s: int, s1: int, rows: int,
-    rng: np.random.Generator, enumerate_family: bool,
-) -> tuple[float, float]:
-    """Mean utility over one feasible (size, overlap) family, enumerated or
-    from ``rows`` draws, and the variance of that mean (zero if enumerated)."""
-    if enumerate_family:
-        masks = _family_masks(game.n, members, s, s1)
-        return float(game.evaluate_masks(masks).mean()), 0.0
-    masks = sample_subsets_with_intersection(rng, game.n, members, s, s1, rows)
-    return _mean_and_variance(game.evaluate_masks(masks))
 
 
 def estimate_mean_utility(
@@ -146,8 +152,9 @@ def estimate_mean_utility(
     and the family is no larger than ``samples``."""
     members = _member_indices(members, game.n)
     _check_feasible(game.n, len(members), s, s1)
-    rows, enumerate_family = _grid_rows(game.n, len(members), s, s1, samples, exhaustive)
-    return _mean_utility(game, members, s, s1, rows, rng, enumerate_family)[0]
+    rows, how = _grid_rows(game.n, len(members), s, s1, samples, exhaustive)
+    masks = _cell_masks(rng, game.n, members, s, s1, rows, how)
+    return _cell_mean(game.evaluate_masks(masks), how)[0]
 
 
 def estimate_mean_utility_gap(
@@ -161,38 +168,26 @@ def estimate_mean_utility_gap(
     """Paired Monte Carlo estimate of the change in conditional mean utility
     when one more member replaces a non-member: averages
     U(S ∪ {member}) - U(S ∪ {non-member}) over shared base subsets S with
-    |S| = s and overlap s1 fixed."""
+    |S| = s and overlap s1 fixed. Spends 2 * samples evaluations."""
     members = _member_indices(members, game.n)
-    return _mean_utility_gap(game, members, s, s1, samples, rng)[0]
-
-
-def _mean_utility_gap(
-    game: Game, members: np.ndarray, s: int, s1: int | None, samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Mean of the paired differences over base subsets of size s (overlap
-    s1, or drawn where s1 is None) and the variance of that mean, for parsed
-    members; spends 2 * samples evaluations."""
-    with_out, z1, z2 = sample_paired_tuples(rng, game.n, members, s, s1, samples)
-    rows = np.arange(samples)
-    with_in = with_out.copy()
-    with_in[rows, z1] = True
-    with_out[rows, z2] = True
-    diffs = game.evaluate_masks(with_in) - game.evaluate_masks(with_out)
-    return _mean_and_variance(diffs)
+    masks = _cell_masks(rng, game.n, members, s, s1, 2 * samples, "pair")
+    return _cell_mean(game.evaluate_masks(masks), "pair")[0]
 
 
 def predicted_evaluations(n: int, s0: int, config: EstimatorConfig) -> int:
-    """Utility-evaluation count of :func:`estimate_group_value`, read off the
-    size plan cell by cell."""
+    """Utility-evaluation count of :func:`estimate_group_value`: the
+    endpoints, the rows of each grid cell (one per feasible overlap of each
+    size below the threshold) and 2 * pair_samples per paired size."""
     if s0 == 0:
         return 0
     if s0 == n:
         return 2
-    return 2 + sum(
-        _cell_rows(n, s0, s, s1, config)[0]
-        for s, cells in _size_plan(n, s0, config.size_threshold) for s1, _ in cells
-    )
+    used = 2 + 2 * config.pair_samples * len(range(max(config.size_threshold, 1), n))
+    for s in range(1, min(config.size_threshold, n)):
+        lo, hi = HypergeomParams(n, s0, s).support()
+        used += sum(_grid_rows(n, s0, s, s1, config.grid_samples,
+                               config.exhaustive_small_sizes)[0] for s1 in range(lo, hi + 1))
+    return used
 
 
 def _run_plan(
@@ -205,7 +200,16 @@ def _run_plan(
     """Runs the size plan: the efficiency endpoints and the grid cells on
     ``game``, the paired differences on ``pair_game``. ``evaluations_used``
     is read off the plan, the rows of each cell it runs, so it does not
-    depend on who else evaluates either game."""
+    depend on who else evaluates either game.
+
+    Cells are drawn in plan order, with the sampler calls of a cell-by-cell
+    loop, and wait until their masks reach ``_BATCH_ENTRIES`` entries or the
+    next cell is on the other game; then one kernel call scores them all.
+    Each cell's slice of the utilities gives its mean, and the sums and the
+    curve take the cells in plan order, so where the kernel is
+    batch-invariant no bit of the estimate depends on the batching. The
+    endpoints stay one-row calls: the ridge kernel rounds a one-row batch
+    differently, so batching them would move ridge estimates."""
     n = game.n
     config.validate(n)
     members = _member_indices(members, n)
@@ -223,27 +227,53 @@ def _run_plan(
         recorder.update(used, value)
         return GroupValueEstimate(value, np.zeros(n - 1), used, recorder.curve)
 
+    def batches():
+        # Yields (game, masks, cells) for each kernel call, a cell being
+        # (how, size, weight, rows), and empties both lists after it, so no
+        # scored mask is alive while the next cell is drawn.
+        batch_game, masks, cells = None, [], []
+        for s, plan in _size_plan(n, s0, config.size_threshold):
+            for s1, weight in plan:
+                if s1 is None:
+                    cell_game, base, rows, how = pair_game, s - 1, 2 * config.pair_samples, "pair"
+                else:
+                    cell_game, base = game, s
+                    rows, how = _grid_rows(n, s0, s, s1, config.grid_samples,
+                                           config.exhaustive_small_sizes)
+                if cells and cell_game is not batch_game:
+                    yield batch_game, masks, cells
+                    masks.clear()
+                    cells.clear()
+                batch_game = cell_game
+                masks.append(_cell_masks(rng, n, members, base, s1, rows, how))
+                cells.append((how, s, weight, rows))
+                if sum(m.size for m in masks) >= _BATCH_ENTRIES:
+                    yield batch_game, masks, cells
+                    masks.clear()
+                    cells.clear()
+        if cells:
+            yield batch_game, masks, cells
+
     running = (s0 / n) * (u_full - u_empty)
     recorder.update(used, running)
     per_size = np.zeros(n - 1)
-    variance_total = 0.0
-
-    for s, cells in _size_plan(n, s0, config.size_threshold):
-        term = 0.0
-        for s1, weight in cells:
-            rows, enumerate_family = _cell_rows(n, s0, s, s1, config)
-            if s1 is None:
-                mean, mean_var = _mean_utility_gap(
-                    pair_game, members, s - 1, s1, config.pair_samples, rng)
-            else:
-                mean, mean_var = _mean_utility(
-                    game, members, s, s1, rows, rng, enumerate_family)
+    term = variance_total = 0.0
+    size = 1
+    for batch_game, masks, cells in batches():
+        values = batch_game.evaluate_masks(masks[0] if len(masks) == 1 else np.concatenate(masks))
+        at = 0
+        for how, s, weight, rows in cells:
+            mean, mean_var = _cell_mean(values[at : at + rows], how)
+            at += rows
             used += rows
+            if s != size:
+                running += term
+                term, size = 0.0, s
             term += weight * mean
             variance_total += weight**2 * mean_var
+            per_size[s - 1] = term
             recorder.update(used, running + term)
-        per_size[s - 1] = term
-        running += term
+    running += term
 
     return GroupValueEstimate(
         running, per_size, used, recorder.curve, std_error=math.sqrt(variance_total)

@@ -93,6 +93,13 @@ class Game:
 # thread, and 1 024-row blocks at n=1024, d=32.
 _SOU_BLOCK_ENTRIES = 1 << 17
 
+# Mask entries (rows x players) an estimator run gathers before one kernel
+# call: its cells wait, in plan order, until their masks reach this bound.
+# At 2^16 a whole run at n=16 fits in one call, and at n=1024 a call holds
+# one paired cell of 64 draws, both halves together. Per-call overhead is
+# 30-45 us for the ridge kernel, against 0.45 us per row at 4 096 rows.
+_BATCH_ENTRIES = 1 << 16
+
 
 def _exact_limbs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Splits finite ``values`` exactly into integer-valued float64 limbs on
@@ -212,19 +219,27 @@ class SOUGame(Game):
         # neither its block nor its batch nor the BLAS. Past one word of
         # subsets, every batch is ordered by popcount and each block is
         # tested only against the subsets no larger than its largest
-        # coalition; within one word that cut would save no work.
+        # coalition; within one word that cut would save no work. The int64
+        # table row indices are built one block at a time from the packed
+        # coalition bytes.
         rows, d = len(masks), len(self.subsets)
-        holes = self._hole_rows - np.packbits(masks, axis=1, bitorder="little")
+        packed = np.packbits(masks, axis=1, bitorder="little")
         sums = np.empty((len(self._scales), rows))
         order = None
         if d > 64:
             counts = masks.sum(axis=1, dtype=np.int32)
             order = np.argsort(counts, kind="stable")
-            holes, counts = holes[order], counts[order]
+            counts = counts[order]
         for lo in range(0, rows, self._block_rows):
             hi = min(lo + self._block_rows, rows)
             cut = d if order is None else self._cut[counts[hi - 1]]
-            gathered = self._table[holes[lo:hi], : -(-cut // 64)]
+            words = -(-cut // 64)
+            holes = self._hole_rows - (packed[lo:hi] if order is None else packed[order[lo:hi]])
+            # np.take of whole rows is ~3x faster than the mixed fancy and
+            # slice index, which pays off only when it gathers fewer words.
+            gathered = (np.take(self._table, holes, axis=0) if words == self._table.shape[1]
+                        else self._table[holes, :words])
+            del holes  # as large as the gather at one word
             # The reduction over one byte would only copy it.
             excluded = (np.bitwise_or.reduce(gathered, axis=1) if gathered.shape[1] > 1
                         else gathered[:, 0])

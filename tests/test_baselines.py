@@ -22,7 +22,8 @@ from groupshapley.baselines import (
     unbiased_kernelshap_estimator,
 )
 from groupshapley.exact import exact_shapley_values
-from groupshapley.games import SIZE_UTILITIES, SOUGame, SizeOnlyGame, sou_generate
+from groupshapley.games import (RegressionGame, SIZE_UTILITIES, SOUGame, SizeOnlyGame,
+                                sou_generate)
 
 
 class AdditiveGame(SizeOnlyGame):
@@ -70,6 +71,86 @@ class TestPermutation:
         mean = runs.mean(axis=0)
         se = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
         assert (np.abs(mean - truth) <= 4 * se + 1e-12).all()
+
+
+def _frozen_permutation(game, budget, rng, groups, checkpoint_interval):
+    """Permutation sampling as it ran before orderings were batched: one
+    ordering per kernel call, a checkpoint after each. Kept as the reference
+    that the batched estimator must match bit for bit."""
+    from groupshapley.metrics import Recorder
+
+    n = game.n
+    sums, counts = np.zeros(n), np.zeros(n, dtype=np.int64)
+
+    def values():
+        means = np.zeros(n)
+        np.divide(sums, counts, out=means, where=counts > 0)
+        return means
+
+    rec = Recorder(checkpoint_interval if groups is not None else None, groups)
+    rec.update(0, values)
+    done = 0
+    while done < budget:
+        c = min(n + 1, budget - done)
+        perm = rng.permutation(n)
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm] = np.arange(n)
+        u = game.evaluate_masks(np.arange(c)[:, None] > inv[None, :])
+        sums[perm[: c - 1]] += u[1:] - u[:-1]
+        counts[perm[: c - 1]] += 1
+        done += c
+        rec.update(done, values)
+    return values(), rec.curves
+
+
+class TestPermutationBatches:
+    """One kernel call scores a batch of orderings; values and every curve
+    point equal those of the frozen one-ordering-per-call loop."""
+
+    @pytest.mark.parametrize("budget", [17 * 60, 17 * 60 + 1, 17 * 60 + 2, 2000, 17])
+    @pytest.mark.parametrize("interval", [None, 1, 17, 200, 333, 5000])
+    def test_matches_one_ordering_per_call(self, kernel_rows, budget, interval):
+        game = sou_generate(16, 64, 3)
+        groups = [range(0, 16, 4), range(1, 16, 4), [2, 3, 6, 7, 10, 11, 14, 15]]
+        want, want_curves = _frozen_permutation(game, budget, np.random.default_rng(5),
+                                                groups, interval)
+        counted = kernel_rows(game)
+        got = permutation_estimator(game, budget, np.random.default_rng(5), groups=groups,
+                                    checkpoint_interval=interval)
+        assert got.values.tobytes() == want.tobytes()
+        assert counted.rows == got.evaluations_used == budget
+        if interval is None:
+            assert got.curves is None
+            return
+        for gid in range(len(groups)):
+            assert [c[:2] for c in got.curves[gid].checkpoints] == \
+                [c[:2] for c in want_curves[gid].checkpoints]
+
+    def test_ridge_game(self):
+        rng = np.random.default_rng(8)
+        X, Xt = rng.normal(size=(16, 4)), rng.normal(size=(8, 4))
+        beta = rng.normal(size=4)
+        game = RegressionGame(X, X @ beta + 0.5 * rng.normal(size=16),
+                              Xt, Xt @ beta + 0.5 * rng.normal(size=8), lam=1.0)
+        groups = [range(g, 16, 4) for g in range(4)]
+        want, want_curves = _frozen_permutation(game, 2000, np.random.default_rng(1),
+                                                groups, 200)
+        got = permutation_estimator(game, 2000, np.random.default_rng(1), groups=groups,
+                                    checkpoint_interval=200)
+        assert got.values.tobytes() == want.tobytes()
+        for gid in range(4):
+            assert [c[:2] for c in got.curves[gid].checkpoints] == \
+                [c[:2] for c in want_curves[gid].checkpoints]
+
+    def test_kernel_calls(self, kernel_rows):
+        # 200 // 17 = 11 orderings (187 rows) per call: 10 full calls, then
+        # 130 rows, the last ordering truncated to 11 of its 17 prefixes.
+        game = sou_generate(16, 64, 3)
+        counted = kernel_rows(game)
+        permutation_estimator(game, 2000, np.random.default_rng(0),
+                              groups=[range(g, 16, 4) for g in range(4)],
+                              checkpoint_interval=200)
+        assert (counted.calls, counted.rows) == (11, 2000)
 
 
 class TestGroupTesting:

@@ -684,14 +684,28 @@ def test_import_loads_no_scipy():
 
 def test_no_unused_imports():
     """Every name a module of the package imports is used in that module.
-    ``__init__.py``, which re-exports, and ``__future__`` imports are exempt."""
+    ``__init__.py``, which re-exports, and ``__future__`` imports are exempt.
+    Every module-level private function of the package is referenced in the
+    package, by name, attribute or import."""
     pkg = os.path.dirname(os.path.abspath(cli.__file__))
-    unused = []
+    unused, private, referenced = [], {}, set()
     for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py") or name == "__init__.py":
+        if not name.endswith(".py"):
             continue
         with open(os.path.join(pkg, name)) as fh:
             tree = ast.parse(fh.read())
+        private.update({f"{name}:{node.lineno}: {node.name}": node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                        and not node.name.startswith("__")})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+        if name == "__init__.py":
+            continue
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -703,6 +717,7 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}:{line}: {ident}" for ident, line in imported.items()
                    if ident not in used]
+    unused += [where for where, ident in private.items() if ident not in referenced]
     assert unused == []
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,3 +469,218 @@ def test_exhaustive_estimate_equals_exact(kind, n, seed, data):
     assert est.std_error == 0.0
     assert est.value == pytest.approx(exact_faithful_group_shapley(g, members),
                                       abs=1e-12)
+
+
+def _frozen_cell_by_cell(game, members, config, rng, pair_game):
+    """The engine as it ran before cells were batched: one kernel call per
+    grid cell, two per paired cell and one per endpoint, each cell's
+    estimate added as soon as it is scored. Kept as the reference that the
+    batched engine must match bit for bit."""
+    from groupshapley.combinatorics import (sample_paired_tuples,
+                                            sample_subsets_with_intersection,
+                                            size_term_weights)
+    from groupshapley.exact import _family_masks
+    from groupshapley.metrics import Recorder
+
+    def mean_and_variance(values):
+        m = len(values)
+        mean = values.sum() / m
+        if m < 2:
+            return float(mean), 0.0
+        dev = values - mean
+        return float(mean), float(dev @ dev) / ((m - 1) * m)
+
+    n = game.n
+    members = np.unique(np.asarray(list(members), dtype=np.intp))
+    s0 = len(members)
+    recorder = Recorder(config.checkpoint_interval)
+    u_full = game.evaluate(range(n))
+    u_empty = game.evaluate([])
+    used = 2
+    running = (s0 / n) * (u_full - u_empty)
+    recorder.update(used, running)
+    per_size = np.zeros(n - 1)
+    variance_total = 0.0
+    alpha0 = s0 / n
+    for s in range(1, n):
+        term = 0.0
+        if s < config.size_threshold:
+            lo, weights = size_term_weights(n, s0, s)
+            cells = list(enumerate(weights, start=lo))
+        else:
+            cells = [(None, (n / (n - 1)) * alpha0 * (1 - alpha0))]
+        for s1, weight in cells:
+            if s1 is None:
+                m = config.pair_samples
+                with_out, z1, z2 = sample_paired_tuples(rng, n, members, s - 1, None, m)
+                with_in = with_out.copy()
+                with_in[np.arange(m), z1] = True
+                with_out[np.arange(m), z2] = True
+                mean, mean_var = mean_and_variance(
+                    pair_game.evaluate_masks(with_in) - pair_game.evaluate_masks(with_out))
+                rows = 2 * m
+            else:
+                family = math.comb(s0, s1) * math.comb(n - s0, s - s1)
+                if config.exhaustive_small_sizes and family <= config.grid_samples:
+                    mean = float(game.evaluate_masks(_family_masks(n, members, s, s1)).mean())
+                    mean_var, rows = 0.0, family
+                else:
+                    rows = config.grid_samples
+                    mean, mean_var = mean_and_variance(game.evaluate_masks(
+                        sample_subsets_with_intersection(rng, n, members, s, s1, rows)))
+            used += rows
+            term += weight * mean
+            variance_total += weight**2 * mean_var
+            recorder.update(used, running + term)
+        per_size[s - 1] = term
+        running += term
+    return running, per_size, math.sqrt(variance_total), used, \
+        [c[:2] for c in recorder.curve.checkpoints]
+
+
+def _ridge_game(rows, seed, p=4, test_rows=8):
+    rng = np.random.default_rng(seed)
+    X, Xt = rng.normal(size=(rows, p)), rng.normal(size=(test_rows, p))
+    beta = rng.normal(size=p)
+    return RegressionGame(X, X @ beta + 0.5 * rng.normal(size=rows),
+                          Xt, Xt @ beta + 0.5 * rng.normal(size=test_rows), lam=1.0)
+
+
+_FROZEN_GAMES = {
+    "sou16": lambda: sou_generate(16, 64, 7),
+    "sou64": lambda: sou_generate(64, 300, 2),
+    "size_only13": lambda: SizeOnlyGame(13, SIZE_UTILITIES["sqrt"]),
+    "ridge16": lambda: _ridge_game(16, 3),
+    "ridge11": lambda: _ridge_game(11, 5, p=2),
+}
+
+_FROZEN_CONFIGS = {
+    "grid_and_paired": dict(size_threshold=4, grid_samples=9, pair_samples=7,
+                            checkpoint_interval=13),
+    "exhaustive": dict(size_threshold=6, grid_samples=40, pair_samples=5,
+                       exhaustive_small_sizes=True, checkpoint_interval=11),
+    "all_paired": dict(size_threshold=1, grid_samples=1, pair_samples=12,
+                       checkpoint_interval=9),
+    "all_grid": dict(size_threshold=10**3, grid_samples=6, pair_samples=1,
+                     checkpoint_interval=50),
+}
+
+
+def _frozen_and_batched(game, members, config, seed):
+    cfg = EstimatorConfig(**config)
+    cfg.size_threshold = min(cfg.size_threshold, game.n)
+    want = _frozen_cell_by_cell(game, members, cfg, np.random.default_rng(seed), game)
+    got = estimate_group_value(game, members, cfg, rng=np.random.default_rng(seed))
+    return want, (got.value, got.per_size_terms, got.std_error, got.evaluations_used,
+                  [c[:2] for c in got.curve.checkpoints])
+
+
+class TestBatchedMatchesCellByCell:
+    """Batching the cells into few kernel calls changes no output where the
+    kernel is batch-invariant: value, per-size terms, standard error,
+    evaluations and every curve point equal those of the frozen cell-by-cell
+    loop."""
+
+    @pytest.mark.parametrize("config", sorted(_FROZEN_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(_FROZEN_GAMES))
+    def test_games_and_configs(self, name, config):
+        game = _FROZEN_GAMES[name]()
+        for seed, members in enumerate(([0, 3, 5], [1], list(range(1, game.n, 2)))):
+            want, got = _frozen_and_batched(game, members, _FROZEN_CONFIGS[config], seed)
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2:] == want[2:]
+
+    def test_wide_game(self):
+        # n = 1 024: each paired cell (64 rows, 2^16 entries) fills a kernel
+        # call on its own, and the grid cells share calls.
+        config = dict(size_threshold=3, grid_samples=8, pair_samples=32,
+                      checkpoint_interval=4096)
+        want, got = _frozen_and_batched(sou_generate(1024, 32, 4), range(0, 1024, 4),
+                                        config, 9)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2:] == want[2:]
+
+    @pytest.mark.parametrize("p, rows", [(2, 16), (3, 16), (3, 20), (5, 20)])
+    def test_ridge_within_rounding(self, p, rows):
+        # BLAS picks the ridge kernel's summation order by row count, so at
+        # these shapes a utility can move in its last bit with the batch.
+        game = _ridge_game(rows, 3, p=p)
+        for config in _FROZEN_CONFIGS.values():
+            want, got = _frozen_and_batched(game, [0, 3, 5], config, 1)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
+            assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-15)
+            assert got[3] == want[3]
+            assert [e for e, _ in got[4]] == [e for e, _ in want[4]]
+            assert [v for _, v in got[4]] == pytest.approx([v for _, v in want[4]],
+                                                           rel=1e-12, abs=1e-15)
+
+
+def test_kernel_calls_of_a_run(kernel_rows):
+    # The benchmark's ridge shape (n = 16, 4 groups, budget 2 000): the two
+    # endpoints, then one call for the run's 459 cell rows.
+    from groupshapley.bench import fgsv_config_for
+
+    game = _ridge_game(16, 3)
+    cfg = fgsv_config_for(16, 4, 500, {"name": "fgsv"})
+    counted = kernel_rows(game)
+    est = estimate_group_value(game, [0, 4, 8, 12], cfg, rng=np.random.default_rng(0))
+    assert counted.calls == 3
+    assert counted.rows == est.evaluations_used == 461
+
+
+def test_wide_runs_footprint():
+    # Four runs at n = 1 024 (d = 32), one per mod-4 group: a kernel call
+    # holds one paired cell, both halves in one array, and a batch of grid
+    # cells is copied into one array only when it has more than one cell.
+    game = sou_generate(1024, 32, 5)
+    cfg = EstimatorConfig(size_threshold=10, grid_samples=32, pair_samples=64)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        for g in range(4):
+            estimate_group_value(game, range(g, 1024, 4), cfg, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
+
+def _frozen_predicted_evaluations(n, s0, config):
+    """The evaluation count as read off the size plan cell by cell, weights
+    included, before the count took the grid cells from the overlap support."""
+    if s0 == 0:
+        return 0
+    if s0 == n:
+        return 2
+    used = 2
+    for s, cells in _size_plan(n, s0, config.size_threshold):
+        for s1, _ in cells:
+            if s1 is None:
+                used += 2 * config.pair_samples
+                continue
+            family = math.comb(s0, s1) * math.comb(n - s0, s - s1)
+            enumerate_family = config.exhaustive_small_sizes and family <= config.grid_samples
+            used += family if enumerate_family else config.grid_samples
+    return used
+
+
+def test_predicted_evaluations_matches_plan_count():
+    rng = np.random.default_rng(24)
+    configs = 0
+    for n in (2, 3, 5, 8, 13, 16, 21, 40, 64, 100):
+        for s0 in sorted({1, n // 3, n // 2, n - 1} - {0}):
+            for threshold in sorted({1, 2, 4, 10, n - 1, n, n + 3} - {0}):
+                for exhaustive in (False, True):
+                    for _ in range(4):
+                        cfg = EstimatorConfig(
+                            size_threshold=threshold,
+                            grid_samples=int(rng.integers(1, 400)),
+                            pair_samples=int(rng.integers(1, 60)),
+                            exhaustive_small_sizes=exhaustive)
+                        assert predicted_evaluations(n, s0, cfg) == \
+                            _frozen_predicted_evaluations(n, s0, cfg), (n, s0, cfg)
+                        configs += 1
+    assert configs > 1000

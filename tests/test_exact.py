@@ -592,3 +592,13 @@ def test_enumeration_footprint(call, bound_mib):
     # The 2^16 masks take one byte per player and coalition (1 MiB), and no
     # 2^n x n int64 temporary (8 MiB at n = 16, 80 MiB at K = 19) is built.
     assert _traced_peak_mib(call) < bound_mib
+
+
+def test_sou_kernel_footprint():
+    # The SOU kernel builds its int64 table row indices one block at a time
+    # from the packed coalition bytes; built for the whole batch, and copied
+    # again in popcount order, they take the peak beyond the 20 MiB of masks
+    # to 80 MiB.
+    game = sou_generate(20, 200, 3)
+    masks = _all_masks(20)
+    assert _traced_peak_mib(lambda: game.evaluate_masks(masks)) < 56

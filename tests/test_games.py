@@ -533,7 +533,9 @@ class TestSharedGame:
         assert not runner.is_alive() and not helper.is_alive()
 
         (shared,) = results
-        assert len(other) == 2 + 9 + 2 * 8  # endpoints, grid cells, paired sizes
+        # The two endpoints, then one call for all 9 grid cells and 8 paired
+        # sizes: their 150 rows of 12 players stay below the batch bound.
+        assert len(other) == 2 + 1
         assert shared.value == alone.value
         assert np.array_equal(shared.per_size_terms, alone.per_size_terms)
         assert shared.std_error == alone.std_error
