@@ -152,7 +152,6 @@ def partition_from_spec(spec: dict, n: int, where: str = "groups") -> Partition:
 METHOD_KEYS = {
     "fgsv": {"name", "size_threshold", "grid_samples", "pair_samples", "exhaustive"},
 }
-KNOWN_METHODS = set(BASELINE_ESTIMATORS) | {"fgsv"}
 
 
 def _check_fgsv_values(method: dict) -> None:
@@ -193,7 +192,7 @@ class BenchConfig:
         for m in methods:
             if not isinstance(m, dict) or "name" not in m:
                 raise ConfigError("methods: each entry needs a 'name'")
-            if not isinstance(m["name"], str) or m["name"] not in KNOWN_METHODS:
+            if not isinstance(m["name"], str) or m["name"] not in METHODS:
                 raise ConfigError(f"methods: unknown method {m['name']!r}")
             allowed_keys = METHOD_KEYS.get(m["name"], {"name"})
             _require_keys(m, allowed_keys, {"name"}, f"methods[{m['name']}]")
@@ -318,45 +317,63 @@ def fgsv_config_for(n: int, s0: int, per_group_budget: int, method: dict) -> Est
     return cfg
 
 
+def _fgsv_run(game: Game, groups, rng, config: BenchConfig, method: dict):
+    # One run per group, in group order on the one RNG, on the group's share.
+    share = config.budget // len(groups)
+    runs = [estimate_group_value(game, g, fgsv_config_for(game.n, len(g), share, method),
+                                 rng=rng) for g in groups]
+    return [(est.value, est.evaluations_used, est.curve) for est in runs]
+
+
+def _fgsv_need(n: int, groups, config: BenchConfig, method: dict):
+    # A run past its share draws the fewest samples it can, so then k times
+    # the largest run is the least budget that fits.
+    share = config.budget // len(groups)
+    used = max(predicted_evaluations(n, len(g), fgsv_config_for(n, len(g), share, method))
+               for g in groups)
+    return used * len(groups), None
+
+
+def _baseline(name: str):
+    # One run on the whole budget, the estimator looked up when it runs; a
+    # group's estimate is the sum of its members' values.
+    def run(game, groups, rng, config, method):
+        est = BASELINE_ESTIMATORS[name](game, config.budget, rng, groups=groups,
+                                        checkpoint_interval=config.checkpoint_interval)
+        return [(group_sum(est, g), est.evaluations_used, est.curves[gid])
+                for gid, g in enumerate(groups)]
+
+    def need(n, groups, config, method):
+        try:
+            least = baselines.min_baseline_budget(name, n)
+        except ValueError as exc:
+            raise ConfigError(f"methods[{name}]: {exc}") from exc
+        return least, (baselines.predicted_baseline_evaluations(name, n, config.budget)
+                       if config.budget >= least else None)
+
+    return run, need
+
+
+# Each method's (run, need): ``run(game, groups, rng, config, method)`` gives
+# one (estimate, evals, curve) per group; ``need(n, groups, config, method)``
+# the least budget and, for a baseline within budget, the evaluations spent.
+METHODS = {"fgsv": (_fgsv_run, _fgsv_need)} | {
+    name: _baseline(name) for name in BASELINE_ESTIMATORS}
+
+
 def _run_cell(config: BenchConfig, game: Game, partition: Partition, rep: int,
               method_index: int, method: dict):
-    """One (replication, method) run on the shared game; returns one row dict
-    per group."""
+    """One (replication, method) run on the shared game, through the
+    method's ``METHODS`` entry on the cell's one RNG; returns one row dict
+    per group. Every row's ``wall_time_ns`` is the whole run's time."""
     name = method["name"]
     rng = _rng_for(config.seed, rep, method_index)
-    groups = partition.groups
-    rows = []
-    if name == "fgsv":
-        per_group_budget = config.budget // len(groups)
-        for gid, members in enumerate(groups):
-            t0 = time.perf_counter_ns()
-            est = estimate_group_value(
-                game, members,
-                fgsv_config_for(game.n, len(members), per_group_budget, method),
-                rng=rng,
-            )
-            elapsed = time.perf_counter_ns() - t0
-            rows.append({
-                "method": name, "group_id": gid, "rep": rep,
-                "evals": est.evaluations_used, "estimate": est.value,
-                "curve": est.curve, "wall_time_ns": elapsed,
-            })
-    else:
-        t0 = time.perf_counter_ns()
-        est = BASELINE_ESTIMATORS[name](
-            game, config.budget, rng,
-            groups=groups, checkpoint_interval=config.checkpoint_interval,
-        )
-        elapsed = time.perf_counter_ns() - t0
-        for gid, members in enumerate(groups):
-            rows.append({
-                "method": name, "group_id": gid, "rep": rep,
-                "evals": est.evaluations_used,
-                "estimate": group_sum(est, members),
-                "curve": est.curves[gid] if est.curves else None,
-                "wall_time_ns": elapsed,
-            })
-    return rows
+    t0 = time.perf_counter_ns()
+    runs = METHODS[name][0](game, partition.groups, rng, config, method)
+    elapsed = time.perf_counter_ns() - t0
+    return [{"method": name, "group_id": gid, "rep": rep, "evals": evals,
+             "estimate": estimate, "curve": curve, "wall_time_ns": elapsed}
+            for gid, (estimate, evals, curve) in enumerate(runs)]
 
 
 # Set in each worker process by _init_worker. A forked worker inherits the
@@ -433,15 +450,19 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
     """Runs the full grid and writes results.csv and summary.csv in out_dir.
 
     The game is built once and every cell evaluates it; each cell's
-    ``evaluations_used`` is read off its run's plan or schedule. With
-    ``threads`` > 1 the (replication, method) cells run in up to ``threads``
-    worker processes forked from this one, which share the game without
-    copying it. Each of N workers sets every loaded OpenBLAS to
-    ``max(1, cores // N)`` threads, cores being those this process may run
-    on; this process keeps its own BLAS setting, and other BLAS libraries are
-    left alone. The first cell to raise cancels the cells not yet started,
-    and its error is raised here after every worker has exited. Rows appear in (replication, method, group) order
-    regardless of the worker count; group ids are 1-based in the output.
+    ``evaluations_used`` is read off its run's plan or schedule. A row's
+    ``wall_time_ns`` is its (replication, method) run's time, the same on
+    its k rows. Its ``evals`` is the run's total for a baseline, and the
+    group's share for fgsv, which runs once per group on ``budget // k``.
+    With ``threads`` > 1 the cells run in up to ``threads`` worker processes
+    forked from this one, which share the game without copying it. Each of
+    N workers sets every loaded OpenBLAS to ``max(1, cores // N)`` threads,
+    cores being those this process may run on; this process keeps its own
+    BLAS setting, and other BLAS libraries are left alone. The first cell to
+    raise cancels the cells not yet started, and its error is raised here
+    after every worker has exited. Rows appear in (replication, method,
+    group) order regardless of the worker count; group ids are 1-based in
+    the output.
     """
     cells = [
         (rep, mi, m)
@@ -480,7 +501,7 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
         cell_rows = [_run_cell(config, game, partition, *c) for c in cells]
 
     results_path = os.path.join(out_dir, "results.csv")
-    per_method_group: dict[tuple[str, int], dict[str, list[float]]] = {}
+    per_method_group: dict[tuple[str, int], list[tuple[float, float]]] = {}
     with open(results_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
@@ -494,16 +515,12 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
                     r["evals"], _fmt(r["estimate"]), _fmt(truth), truth_source,
                     _fmt(err), _fmt(auc), r["wall_time_ns"],
                 ])
-                bucket = per_method_group.setdefault(
-                    (r["method"], r["group_id"]), {"are": [], "aucc": []}
-                )
-                bucket["are"].append(err)
-                bucket["aucc"].append(auc)
+                per_method_group.setdefault((r["method"], r["group_id"]), []).append((err, auc))
             log.info("replication %d method %-22s done",
                      rows[0]["rep"], rows[0]["method"])
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    summary: dict[str, dict[str, float]] = {}
+    mean_are: dict[str, float] = {}
     with open(summary_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
@@ -511,9 +528,7 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
             name = m["name"]
             method_ares = []
             for gid in range(len(partition)):
-                bucket = per_method_group[(name, gid)]
-                ares = np.array(bucket["are"])
-                auccs = np.array(bucket["aucc"])
+                ares, auccs = np.array(per_method_group[(name, gid)]).T
                 writer.writerow([
                     name, gid + 1,
                     _fmt(float(np.nanmean(ares))),
@@ -521,46 +536,31 @@ def run_benchmark(config: BenchConfig, out_dir, threads: int = 1) -> dict:
                     _fmt(float(np.nanmean(auccs))),
                     _fmt(float(np.nanstd(auccs, ddof=1)) if len(auccs) > 1 else 0.0),
                 ])
-                method_ares.extend(bucket["are"])
-            summary[name] = {
-                "mean_are": float(np.nanmean(method_ares)),
-            }
+                method_ares.extend(ares)
+            mean_are[name] = float(np.nanmean(method_ares))
     return {
         "results_csv": results_path,
         "summary_csv": summary_path,
         "truth_source": truth_source,
-        "method_mean_are": {k: v["mean_are"] for k, v in summary.items()},
+        "method_mean_are": mean_are,
     }
 
 
 def _validate_budgets(config: BenchConfig, n: int, partition: Partition) -> None:
-    """Checks the budget against each method's minimum on n players, each
-    baseline's evaluations against the checkpoint interval, and the
-    reference-truth budget against the permutation estimator's. fgsv's
-    minimum is read off its plan: every group's run must fit its share."""
+    """Checks the budget against each method's least budget on n players,
+    then each baseline's evaluations against the checkpoint interval, both
+    read through ``METHODS``, and the reference-truth budget against the
+    permutation estimator's."""
+    spent = []
     for m in config.methods:
-        name = m["name"]
-        if name == "fgsv":
-            share = config.budget // len(partition)
-            used = max(predicted_evaluations(n, len(g), fgsv_config_for(n, len(g), share, m))
-                       for g in partition.groups)
-            # A run past its share draws the fewest samples it can, so then
-            # this is the least budget that fits.
-            need = used * len(partition)
-        else:
-            try:
-                need = baselines.min_baseline_budget(name, n)
-            except ValueError as exc:
-                raise ConfigError(f"methods[{name}]: {exc}") from exc
-        if config.budget < need:
-            raise ConfigError(
-                f"budget {config.budget} below minimum {need} for {name}"
-            )
+        least, evals = METHODS[m["name"]][1](n, partition.groups, config, m)
+        if config.budget < least:
+            raise ConfigError(f"budget {config.budget} below minimum {least} for {m['name']}")
+        spent.append((m["name"], evals))
     # A baseline spending fewer evaluations than checkpoint_interval records
-    # no checkpoint, so its AUCC is undefined; fgsv derives its own interval.
-    for name in [m["name"] for m in config.methods if m["name"] != "fgsv"]:
-        used = baselines.predicted_baseline_evaluations(name, n, config.budget)
-        if used < config.checkpoint_interval:
+    # no checkpoint, so its AUCC is undefined.
+    for name, used in spent:
+        if used is not None and used < config.checkpoint_interval:
             raise ConfigError(f"budget {config.budget} gives {name} {used} evaluations, "
                               f"below checkpoint_interval {config.checkpoint_interval}")
     if "reference_budget" in config.truth:

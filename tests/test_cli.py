@@ -1,6 +1,7 @@
 import ast
 import csv
 import ctypes
+import hashlib
 import json
 import multiprocessing
 import os
@@ -332,6 +333,49 @@ class TestBenchCommand:
             else:
                 want = predicted_baseline_evaluations(r["method"], n, 600)
             assert int(r["evals"]) == want
+
+
+class TestMethodTable:
+    """Every method runs through one ``bench.METHODS`` entry: one timed run
+    per (replication, method) cell, one row per group."""
+
+    def test_known_methods_are_the_table(self):
+        assert set(bench.METHODS) == {"fgsv"} | set(BASELINE_ESTIMATORS)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_of_a_run_share_its_wall_time(self, tmp_path, threads):
+        payload = bench_payload(
+            methods=[{"name": "fgsv", "size_threshold": 4}]
+            + [{"name": m} for m in BASELINE_ESTIMATORS], replications=2)
+        run_benchmark(BenchConfig.from_dict(payload), tmp_path / "out", threads=threads)
+        with open(tmp_path / "out" / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        walls = {}
+        for r in rows:
+            walls.setdefault((r["seed"], r["method"]), []).append(int(r["wall_time_ns"]))
+        assert len(walls) == 2 * (1 + len(BASELINE_ESTIMATORS))
+        for times in walls.values():
+            assert len(times) == payload["groups"]["k"]
+            assert len(set(times)) == 1 and times[0] > 0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_outputs_are_pinned(self, tmp_path, threads):
+        # The digest of results.csv minus wall_time_ns, then summary.csv. This
+        # run's game and estimators take no BLAS sums, so it does not depend
+        # on the machine's BLAS.
+        payload = bench_payload()
+        payload["methods"].append({"name": "one_for_all"})
+        out = tmp_path / "out"
+        assert cli.main(["bench", "--config", write_config(tmp_path, "c.json", payload),
+                         "--out", str(out), "--threads", threads]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        drop = rows[0].index("wall_time_ns")
+        h = hashlib.sha1()
+        for r in rows:
+            h.update((",".join(c for i, c in enumerate(r) if i != drop) + "\n").encode())
+        h.update((out / "summary.csv").read_bytes())
+        assert h.hexdigest() == "f5a7dd1e1b96836866b6254fa5b4bef0f10dbf8d"
 
 
 OPENBLAS_GET_THREADS = (

@@ -495,7 +495,9 @@ class TestSharedGame:
     def test_estimate_unaffected_by_concurrent_evaluations(self, kernel_rows):
         g = sou_generate(12, 40, 3)
         members = [0, 4, 5, 9]
-        cfg = EstimatorConfig(size_threshold=4, grid_samples=6, pair_samples=6,
+        # 2 000 rows per paired size: the 8 paired sizes' 16 000 rows of 12
+        # players pass the batch bound of 2^16 mask entries twice.
+        cfg = EstimatorConfig(size_threshold=4, grid_samples=6, pair_samples=1000,
                               checkpoint_interval=7)
         alone = estimate_group_value(g, members, cfg, rng=np.random.default_rng(2))
 
@@ -503,12 +505,13 @@ class TestSharedGame:
         # once, so other rows reach its kernel between every two batches.
         masks = np.random.default_rng(3).random((3, 12)) < 0.5
         kernel, turn, back = g._values, threading.Semaphore(0), threading.Semaphore(0)
-        results, other = [], []
+        results, other, order = [], [], []
 
         def values(m):
             if threading.current_thread() is runner:
                 turn.release()
                 assert back.acquire(timeout=60)
+                order.append("run")
             return kernel(m)
 
         def run():
@@ -519,6 +522,7 @@ class TestSharedGame:
             while turn.acquire(timeout=60) and runner.is_alive():
                 g.evaluate_masks(masks)
                 other.append(len(masks))
+                order.append("other")
                 back.release()
 
         g._values = values
@@ -533,9 +537,9 @@ class TestSharedGame:
         assert not runner.is_alive() and not helper.is_alive()
 
         (shared,) = results
-        # The two endpoints, then one call for all 9 grid cells and 8 paired
-        # sizes: their 150 rows of 12 players stay below the batch bound.
-        assert len(other) == 2 + 1
+        # The two endpoints, then three calls for the 9 grid cells and the 8
+        # paired sizes, each call after one of the other thread's.
+        assert order == ["other", "run"] * (2 + 3)
         assert shared.value == alone.value
         assert np.array_equal(shared.per_size_terms, alone.per_size_terms)
         assert shared.std_error == alone.std_error
