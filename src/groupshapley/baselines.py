@@ -226,7 +226,8 @@ def complement_contribution_estimator(
         sizes = rng.integers(1, n + 1, size=c)
         masks = sample_uniform_subsets(rng, n, sizes, c)
         comp = ~masks
-        v = game.evaluate_masks(masks) - game.evaluate_masks(comp)
+        u = game.evaluate_masks(np.concatenate((masks, comp)))
+        v = u[:c] - u[c:]
         _add_to_strata(sums, counts, masks, sizes, v)
         _add_to_strata(sums, counts, comp, n - sizes, -v)
 
@@ -339,8 +340,7 @@ def _weighted_ls_estimator(
     n = game.n
     schedule = _schedule(method, n, budget, checkpoint_interval)
     groups = _parse_groups(groups, n)
-    u_full = game.evaluate(range(n))
-    u_empty = game.evaluate([])
+    u_full, u_empty = game.evaluate_masks(np.array([[True] * n, [False] * n]))
     total = u_full - u_empty
     sizes_support = np.arange(1, n)
     probs, weight_fn = size_probs_fn(n, sizes_support)
@@ -355,11 +355,11 @@ def _weighted_ls_estimator(
         sizes = rng.choice(sizes_support, size=c, p=probs)
         masks = sample_uniform_subsets(rng, n, sizes, c)
         w = weight_fn(sizes)
-        u1 = game.evaluate_masks(masks)
+        u = game.evaluate_masks(np.concatenate((masks, ~masks)) if paired else masks)
+        u1, u2 = u[:c], u[c:]
         # Float masks let the products use BLAS; boolean ones do not.
         incl = masks.astype(float)
         if paired:
-            u2 = game.evaluate_masks(~masks)
             excl = 1.0 - incl
             if empirical_gram:
                 A_acc += incl.T @ (incl * w[:, None]) + excl.T @ (excl * w[:, None])

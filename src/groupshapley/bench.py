@@ -189,11 +189,16 @@ class BenchConfig:
         methods = cfg["methods"]
         if not isinstance(methods, list) or not methods:
             raise ConfigError("methods: need a non-empty list")
+        seen = set()
         for m in methods:
             if not isinstance(m, dict) or "name" not in m:
                 raise ConfigError("methods: each entry needs a 'name'")
             if not isinstance(m["name"], str) or m["name"] not in METHODS:
                 raise ConfigError(f"methods: unknown method {m['name']!r}")
+            # Outputs are keyed by method name, so two entries would be pooled.
+            if m["name"] in seen:
+                raise ConfigError(f"methods: duplicate method {m['name']!r}")
+            seen.add(m["name"])
             allowed_keys = METHOD_KEYS.get(m["name"], {"name"})
             _require_keys(m, allowed_keys, {"name"}, f"methods[{m['name']}]")
             if m["name"] == "fgsv":

@@ -208,8 +208,8 @@ def _run_plan(
     Each cell's slice of the utilities gives its mean, and the sums and the
     curve take the cells in plan order, so where the kernel is
     batch-invariant no bit of the estimate depends on the batching. The
-    endpoints stay one-row calls: the ridge kernel rounds a one-row batch
-    differently, so batching them would move ridge estimates."""
+    endpoints stay one-row calls: from 32 players on, the ridge kernel can
+    round a one-row batch differently."""
     n = game.n
     config.validate(n)
     members = _member_indices(members, n)

@@ -97,7 +97,8 @@ _SOU_BLOCK_ENTRIES = 1 << 17
 # call: its cells wait, in plan order, until their masks reach this bound.
 # At 2^16 a whole run at n=16 fits in one call, and at n=1024 a call holds
 # one paired cell of 64 draws, both halves together. Per-call overhead is
-# 30-45 us for the ridge kernel, against 0.45 us per row at 4 096 rows.
+# about 50 us for the ridge kernel at p=4, against 0.23 us per row at 4 096
+# rows.
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -325,10 +326,10 @@ class IntersectionSizeGame(Game):
 
 
 # Entries of the widest per-row array in one block of the batched regression
-# kernel (the coalition row, its Gram matrix or its test residuals). 2^16
-# float64 entries keep each block near 512 KB: 4 096 rows at n=16, p=4.
-# Unblocked, the 65 536-mask exact table at n=16 raised peak RSS from 69 to
-# 95 MB and ran no faster.
+# kernel (the coalition row, its (p+1)^2-entry augmented matrix or its test
+# residuals). 2^16 float64 entries keep each block near 512 KB: 2 621 rows at
+# n=16, p=4. Unblocked, the 65 536-mask exact table at n=16 raised peak RSS
+# from 69 to 95 MB and ran no faster.
 _REGRESSION_BLOCK_ENTRIES = 1 << 16
 
 
@@ -363,13 +364,17 @@ class RegressionGame(Game):
         self.lam = float(lam)
         self.null_utility = -float(np.var(self.y_test))
         p = X_train.shape[1]
-        # Per-row terms of the Gram matrix and of the normal equations'
-        # right-hand side: a coalition's sums are one matmul with its mask.
-        self._outer = (X_train[:, :, None] * X_train[:, None, :]).reshape(-1, p * p)
-        self._xy = X_train * y_train[:, None]
-        self._ridge = self.lam * np.eye(p)
+        # Per-row terms of every entry of a coalition's augmented matrix
+        # [[G, b], [b^T, count]], row-major: z z^T for z = (x, y), with 1 in
+        # place of y^2. One matmul with a block of masks sums them into each
+        # coalition's Gram matrix G, moment vector b and member count, one
+        # entry per row of the product. Holding the upper triangle too lets
+        # the block read as (p+1) x (p+1) matrices without a gather.
+        z = np.column_stack((X_train, y_train))
+        self._terms = (z[:, :, None] * z[:, None, :]).reshape(self.n, -1).T.copy()
+        self._terms[-1] = 1.0
         self._block_rows = max(
-            1, _REGRESSION_BLOCK_ENTRIES // max(self.n, p * p, len(self.y_test))
+            1, _REGRESSION_BLOCK_ENTRIES // max(self.n, (p + 1) ** 2, len(self.y_test))
         )
 
     @property
@@ -380,7 +385,7 @@ class RegressionGame(Game):
         p = X.shape[1]
         if X.shape[0] < p:
             return self.null_utility
-        gram = X.T @ X + self._ridge
+        gram = X.T @ X + self.lam * np.eye(p)
         try:
             beta = np.linalg.solve(gram, X.T @ y)
         except np.linalg.LinAlgError:
@@ -389,28 +394,48 @@ class RegressionGame(Game):
         return -float(np.mean(resid**2))
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
-        # One Gram matmul and one batched solve per block of coalitions. A
-        # singular Gram (possible only when lam == 0) fails the whole block,
-        # which is then re-scored row by row with the lstsq fallback.
+        # Entry-major: row (p + 1) i + j of a block's product holds entry
+        # (i, j) of every coalition's augmented matrix, so each step below is
+        # one vector op over the block. An in-place Cholesky factorization
+        # of the augmented matrix leaves L in the lower triangle of G and
+        # L^-1 b in the last row (the forward substitution), and back
+        # substitution turns that row into beta; the upper triangle is never
+        # read. A non-positive pivot, which only a (nearly) singular Gram or
+        # overflow gives, makes a utility non-finite; a block with such a
+        # kept row is re-scored row by row, where lstsq takes singular Grams.
         p = self.num_predictors
-        out = np.full(len(masks), self.null_utility)
-        for lo in range(0, len(masks), self._block_rows):
-            block = masks[lo : lo + self._block_rows]
-            rows = lo + np.flatnonzero(block.sum(axis=1, dtype=np.int32) >= max(p, 1))
-            sel = masks[rows].astype(np.float64)
-            grams = (sel @ self._outer).reshape(-1, p, p)
-            grams += self._ridge
-            try:
-                beta = np.linalg.solve(grams, (sel @ self._xy)[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                out[rows] = [
-                    self._fit_and_score(self.X_train[m], self.y_train[m])
-                    for m in masks[rows]
-                ]
-                continue
-            resid = beta @ self.X_test.T
-            resid -= self.y_test
-            out[rows] = -np.mean(np.square(resid, out=resid), axis=1)
+        out = np.empty(len(masks))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for lo in range(0, len(masks), self._block_rows):
+                block = masks[lo : lo + self._block_rows]
+                # BLAS rounds a lone column (gemv) and a gemm's last columns
+                # short of a multiple of 8 unlike the others, so empty
+                # coalitions pad the block to whole groups of 8: up to 20
+                # players a utility then does not depend on its batch (from
+                # 32 on, BLAS also splits the sums by batch width).
+                pad = np.zeros((-len(block) % 8, self.n), dtype=bool)
+                a = self._terms @ np.concatenate((block, pad)).T.astype(np.float64)
+                a[: p * (p + 2) : p + 2] += self.lam  # the diagonal of G
+                a = a.reshape(p + 1, p + 1, -1)
+                for k in range(p):
+                    np.sqrt(a[k, k], out=a[k, k])
+                    col = np.divide(a[k + 1 :, k], a[k, k], out=a[k + 1 :, k])
+                    if k + 1 < p:
+                        a[k + 1 :, k + 1 : p] -= col[:, None] * col[None, : p - k - 1]
+                beta = a[p, :p]
+                for k in reversed(range(p)):
+                    np.divide(beta[k], a[k, k], out=beta[k])
+                    if k:
+                        beta[:k] -= a[k, :k] * beta[k]
+                resid = self.X_test @ beta
+                resid -= self.y_test[:, None]
+                utility = np.add.reduce(np.square(resid, out=resid), axis=0)
+                utility /= -len(resid)
+                values = np.where(a[p, p] >= max(p, 1), utility, self.null_utility)
+                if not np.isfinite(values).all():
+                    values = [self._fit_and_score(self.X_train[m], self.y_train[m])
+                              for m in block]
+                out[lo : lo + len(block)] = values[: len(block)]
         return out
 
     def _padded_value(

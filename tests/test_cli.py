@@ -311,6 +311,22 @@ class TestBenchCommand:
         key = next(iter(field))
         assert capsys.readouterr().err.startswith(f"config error: methods[fgsv]: {key}")
 
+    def test_duplicate_method_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Rows and summaries are keyed by method name, so two fgsv entries
+        # would be pooled into every summary row.
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_run_cell", no_cells)
+        payload = bench_payload(methods=[{"name": "fgsv", "size_threshold": 4},
+                                         {"name": "fgsv", "size_threshold": 8}])
+        cfg_path = write_config(tmp_path, "dup.json", payload)
+        rc = cli.main(["bench", "--config", cfg_path, "--out",
+                       str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: methods: duplicate method 'fgsv'")
+
     def test_regression_csv_exact_truth(self, tmp_path):
         fgsv = {"name": "fgsv"}
         payload = ridge_payload(tmp_path, 16)

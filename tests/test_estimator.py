@@ -604,8 +604,8 @@ class TestBatchedMatchesCellByCell:
 
     @pytest.mark.parametrize("p, rows", [(2, 16), (3, 16), (3, 20), (5, 20)])
     def test_ridge_within_rounding(self, p, rows):
-        # BLAS picks the ridge kernel's summation order by row count, so at
-        # these shapes a utility can move in its last bit with the batch.
+        # A BLAS may pick the ridge kernel's summation order by row count, so
+        # these shapes are compared within rounding.
         game = _ridge_game(rows, 3, p=p)
         for config in _FROZEN_CONFIGS.values():
             want, got = _frozen_and_batched(game, [0, 3, 5], config, 1)

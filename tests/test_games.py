@@ -19,6 +19,7 @@ from groupshapley.exact import (
     _ComboGame,
     _MaskTransformGame,
     _SymmetricPairGame,
+    _all_masks,
     _reverse_players,
 )
 from groupshapley.games import (
@@ -191,13 +192,7 @@ class TestEvaluate:
                 np.testing.assert_allclose(part, whole[idx], rtol=1e-13, atol=atol,
                                            err_msg=name)
 
-    @pytest.mark.parametrize("kind", [
-        "sou",
-        pytest.param("regression", marks=pytest.mark.xfail(strict=True, reason=(
-            "the regression kernel ends in BLAS gemm sums, whose accumulation "
-            "order depends on the row count, so a one-row batch can differ "
-            "from the same row in a larger batch in the last bit"))),
-    ])
+    @pytest.mark.parametrize("kind", ["sou", "regression"])
     def test_one_row_batches_bitwise(self, kind):
         rng = np.random.default_rng(0)
         if kind == "sou":
@@ -785,6 +780,81 @@ class TestRegressionKernel:
         assert got[1] == -np.mean(
             (game.X_test @ np.linalg.lstsq(X[masks[1]], y[masks[1]], rcond=None)[0]
              - game.y_test) ** 2)
+
+    def test_singular_block_rescored_row_by_row(self, monkeypatch):
+        # The block of test_singular_grams_use_lstsq: a zero pivot sends all
+        # of its rows through the per-row fit.
+        X = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1.0], [3.0, 0, 0]])[np.arange(12) % 4]
+        rng = np.random.default_rng(3)
+        game = RegressionGame(X, np.arange(12, dtype=float) % 5 - 2.0,
+                              rng.normal(size=(6, 3)), rng.normal(size=6), lam=0.0)
+        masks = _random_masks(12, 300, rng)
+        masks[1] = False
+        masks[1, [0, 1, 3, 4]] = True
+        fits = []
+        fit = game._fit_and_score
+        monkeypatch.setattr(game, "_fit_and_score", lambda X, y: fits.append(1) or fit(X, y))
+        game._values(masks)
+        assert len(fits) == len(masks)
+
+    def test_positive_ridge_needs_no_solver(self, monkeypatch):
+        def solver(*args, **kwargs):
+            raise AssertionError("a LAPACK solve ran")
+
+        rng = np.random.default_rng(4)
+        game = RegressionGame(rng.normal(size=(12, 4)), rng.normal(size=12),
+                              rng.normal(size=(8, 4)), rng.normal(size=8), lam=0.5)
+        masks = _random_masks(12, 1 << 12, rng)
+        want = _row_by_row(game, masks)
+        monkeypatch.setattr(np.linalg, "solve", solver)
+        monkeypatch.setattr(np.linalg, "lstsq", solver)
+        np.testing.assert_allclose(game._values(masks), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("p, lam", [(p, lam) for p in (1, 2, 3, 4) for lam in (0.1, 1.0)])
+    def test_matches_exact_rationals(self, p, lam):
+        rng = np.random.default_rng([p, int(10 * lam)])
+        game = RegressionGame(rng.normal(size=(10, p)), rng.normal(size=10),
+                              rng.normal(size=(5, p)), rng.normal(size=5), lam=lam)
+        _assert_exact_to(game, _random_masks(10, 80, rng), 1e-13)
+
+    def test_unridged_matches_exact_rationals(self):
+        # lam = 0 on 2-D rows spread over half a turn: any two span the
+        # plane with a condition number below 45, so every kept Gram is
+        # non-singular and well conditioned.
+        rng = np.random.default_rng(5)
+        angles = np.pi * np.arange(10) / 10
+        game = RegressionGame(np.column_stack((np.cos(angles), np.sin(angles))),
+                              rng.normal(size=10), rng.normal(size=(5, 2)),
+                              rng.normal(size=5), lam=0.0)
+        _assert_exact_to(game, _all_masks(10), 1e-13)
+
+
+def _exact_ridge_utility(game, mask):
+    """The ridge utility of ``mask`` in rational arithmetic: every float
+    input at its exact value, and Gauss-Jordan elimination on the normal
+    equations."""
+    X = [[Fraction(v) for v in row] for row in game.X_train[mask]]
+    y = [Fraction(v) for v in game.y_train[mask]]
+    p = game.num_predictors
+    aug = [[sum(r[i] * r[j] for r in X) + (Fraction(game.lam) if i == j else 0)
+            for j in range(p)] + [sum(r[i] * v for r, v in zip(X, y))] for i in range(p)]
+    for k in range(p):
+        pivot = next(i for i in range(k, p) if aug[i][k] != 0)
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for i in range(p):
+            if i != k:
+                aug[i] = [v - aug[i][k] * w for v, w in zip(aug[i], aug[k])]
+    resid = [sum(Fraction(x) * row[p] for x, row in zip(xt, aug)) - Fraction(yt)
+             for xt, yt in zip(game.X_test, game.y_test)]
+    return -sum(r * r for r in resid) / len(resid)
+
+
+def _assert_exact_to(game, masks, rtol):
+    """Every kept coalition's kernel utility within ``rtol`` of the exact one."""
+    kept = masks.sum(axis=1) >= game.num_predictors
+    want = [float(_exact_ridge_utility(game, m)) for m in masks[kept]]
+    np.testing.assert_allclose(game._values(masks)[kept], want, rtol=rtol, atol=0)
 
 
 class TestDistinctKeyGames:
